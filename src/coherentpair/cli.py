@@ -9,6 +9,7 @@ independent of --jobs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -42,21 +43,42 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+def _checked(convert, kind: str, ok):
+    """argparse type: ``convert`` the text and require ``ok`` of the value."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected a {kind}, got {text!r}")
+        return value
+
+    return parse
+
+
+_finite = _checked(float, "finite number", math.isfinite)
+_positive = _checked(float, "finite positive number", lambda v: 0 < v < math.inf)
+_nonnegative = _checked(float, "finite non-negative number", lambda v: 0 <= v < math.inf)
+_positive_int = _checked(int, "positive integer", lambda v: v > 0)
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--sigma", type=float, default=1.0, help="packet width (Bohr)")
+    sub.add_argument("--sigma", type=_positive, default=1.0, help="packet width (Bohr)")
     sub.add_argument(
-        "--r0", type=float, default=5.0,
+        "--r0", type=_finite, default=5.0,
         help="initial packet-center offset along z; centers sit at +/- r0",
     )
-    sub.add_argument("--px", type=float, default=0.0, help="initial relative momentum, x")
-    sub.add_argument("--pz", type=float, default=-0.5, help="initial relative momentum, z")
+    sub.add_argument("--px", type=_finite, default=0.0, help="initial relative momentum, x")
+    sub.add_argument("--pz", type=_finite, default=-0.5, help="initial relative momentum, z")
     sub.add_argument(
         "--spin", choices=sorted(_SPIN_TO_SYMMETRY), default="antiparallel",
         help="mutual spin orientation (selects the spatial symmetry)",
     )
-    sub.add_argument("--coupling", type=float, default=1.0, help="Coulomb strength e0^2")
-    sub.add_argument("--dt", type=float, default=0.01, help="integration step")
-    sub.add_argument("--t-max", type=float, default=20.0, help="integration horizon")
+    sub.add_argument("--coupling", type=_finite, default=1.0, help="Coulomb strength e0^2")
+    sub.add_argument("--dt", type=_positive, default=0.01, help="integration step")
+    sub.add_argument("--t-max", type=_positive, default=20.0, help="integration horizon")
     sub.add_argument(
         "--frozen-width", action="store_true",
         help="pin sigma_x(t) = sigma (no spreading)",
@@ -122,8 +144,6 @@ def _cmd_quadrupole(args) -> int:
 def _cmd_sweep(args) -> int:
     if not (args.p_min < args.p_max or args.steps == 1):
         raise ValueError("need p-min < p-max (or a single step)")
-    if args.steps < 1:
-        raise ValueError("steps must be >= 1")
     if args.p_min <= 0:
         raise ValueError("momenta must be positive")
     config = _config_from_args(args)
@@ -205,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep-traveltime", help="traveltime vs momentum sweep")
     _add_config_flags(p_sweep)
-    p_sweep.add_argument("--p-min", type=float, required=True)
-    p_sweep.add_argument("--p-max", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--p-min", type=_finite, required=True)
+    p_sweep.add_argument("--p-max", type=_finite, required=True)
+    p_sweep.add_argument("--steps", type=_positive_int, required=True)
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1)
     p_sweep.add_argument(
-        "--horizon-factor", type=float, default=50.0,
+        "--horizon-factor", type=_positive, default=50.0,
         help="default horizon as a multiple of the free traveltime",
     )
     p_sweep.set_defaults(t_max=None, dt=None)
@@ -219,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens = sub.add_parser("density", help="density grids at selected times")
     _add_config_flags(p_dens)
     p_dens.add_argument("--plane", choices=[p.value for p in Plane], default="xz")
-    p_dens.add_argument("--extent", type=float, default=10.0)
-    p_dens.add_argument("--n", type=int, default=64)
-    p_dens.add_argument("--times", type=float, nargs="+", required=True)
+    p_dens.add_argument("--extent", type=_positive, default=10.0)
+    p_dens.add_argument("--n", type=_positive_int, default=64)
+    p_dens.add_argument("--times", type=_nonnegative, nargs="+", required=True)
     p_dens.set_defaults(func=_cmd_density)
 
     p_val = sub.add_parser("validate", help="run the oracle suite")

@@ -124,15 +124,15 @@ def _deriv_factory(config: PairConfig, gradient: str):
     if gradient == "analytic":
 
         def deriv(y: np.ndarray, t: float) -> np.ndarray:
+            # Python floats keep the scalar kernel off numpy's scalar types
+            rx, ry, rz, px, py, pz = y.tolist()
             s = width(t)
-            rho = y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
-            pp = y[3] * y[3] + y[4] * y[4] + y[5] * y[5]
+            rho = rx * rx + ry * ry + rz * rz
+            pp = px * px + py * py + pz * pz
             _, de_drho, de_dpp = _core(rho, pp, s, sign, kappa)
             gr = 2.0 * de_drho
             gp = 2.0 * de_dpp
-            return np.array(
-                [gp * y[3], gp * y[4], gp * y[5], -gr * y[0], -gr * y[1], -gr * y[2]]
-            )
+            return np.array([gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz])
 
         return deriv
 

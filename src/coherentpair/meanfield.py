@@ -98,23 +98,23 @@ class EnergyBreakdown:
         return self.coulomb_direct + self.coulomb_exchange
 
 
-def _erf_over_d(rho: float, s: float) -> float:
-    """q(rho) = erf(d / 2s) / d as a smooth function of rho = d^2."""
+def _erf_over_d(rho: float, s: float) -> tuple[float, float]:
+    """q(rho) = erf(d / 2s) / d as a smooth function of rho = d^2, and dq/drho.
+
+    One ``erf`` call serves both; series branches cover small separations.
+    """
     z2 = rho / (4.0 * s * s)
     if z2 < 1e-6:
-        return (1.0 - z2 / 3.0 + z2 * z2 / 10.0) / (_SQRT_PI * s)
-    z = math.sqrt(z2)
-    return numerics.erf(z) / (2.0 * s * z)
-
-
-def _erf_over_d_drho(rho: float, s: float) -> float:
-    """d q / d rho, with a series branch for small separations."""
-    z2 = rho / (4.0 * s * s)
+        q = (1.0 - z2 / 3.0 + z2 * z2 / 10.0) / (_SQRT_PI * s)
+    else:
+        z = math.sqrt(z2)
+        e = numerics.erf(z)
+        q = e / (2.0 * s * z)
     if z2 < 1e-4:
-        return (-1.0 / 3.0 + z2 / 5.0 - z2 * z2 / 14.0) / (_SQRT_PI * s) / (4.0 * s * s)
-    z = math.sqrt(z2)
-    num = (2.0 / _SQRT_PI) * z * math.exp(-z2) - numerics.erf(z)
-    return num / (16.0 * s ** 3 * z ** 3)
+        dq = (-1.0 / 3.0 + z2 / 5.0 - z2 * z2 / 14.0) / (_SQRT_PI * s) / (4.0 * s * s)
+    else:
+        dq = ((2.0 / _SQRT_PI) * z * math.exp(-z2) - e) / (16.0 * s ** 3 * z ** 3)
+    return q, dq
 
 
 def _core(rho: float, pp: float, s: float, sign: int, kappa: float):
@@ -124,8 +124,9 @@ def _core(rho: float, pp: float, s: float, sign: int, kappa: float):
     """
     s2 = s * s
     uncert = 3.0 / (8.0 * s2)
-    d_term = kappa * _erf_over_d(rho, s)
-    d_term_drho = kappa * _erf_over_d_drho(rho, s)
+    q, dq = _erf_over_d(rho, s)
+    d_term = kappa * q
+    d_term_drho = kappa * dq
 
     if sign == 0:
         parts = (pp, uncert, 0.0, d_term, 0.0)
@@ -137,7 +138,7 @@ def _core(rho: float, pp: float, s: float, sign: int, kappa: float):
         raise DegenerateState("averaged Hamiltonian undefined at N -> 1")
 
     x_arg = 2.0 * s * math.sqrt(pp)
-    fr = numerics.dawson_ratio(x_arg)
+    fr, fr_dx2 = numerics.dawson_ratio(x_arg)
     x_pref = kappa * math.exp(-rho / (4.0 * s2)) / (_SQRT_PI * s)
     x_term = x_pref * fr
 
@@ -150,7 +151,7 @@ def _core(rho: float, pp: float, s: float, sign: int, kappa: float):
     dg_dpp = -4.0 * s2 * g
     db_drho = 1.0 / (16.0 * s2 * s2)
     dx_drho = -x_term / (4.0 * s2)
-    dx_dpp = x_pref * numerics.dawson_ratio_ddx2(x_arg) * 4.0 * s2
+    dx_dpp = x_pref * fr_dx2 * 4.0 * s2
 
     num = pp - sign * g * b + d_term + sign * x_term
     dnum_drho = -sign * (dg_drho * b + g * db_drho) + d_term_drho + sign * dx_drho

@@ -24,9 +24,37 @@ def test_usage_error_exit_code():
 
 
 def test_invalid_config_exit_code(tmp_path):
+    # parses, but an antisymmetric pair with r0 = p0 = 0 vanishes identically
     out = tmp_path / "x.csv"
-    code = run(["simulate", "--sigma", "-1.0", "--output", str(out)])
+    code = run(["simulate", "--spin", "parallel", "--r0", "0", "--pz", "0",
+                "--output", str(out)])
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--sigma", "-1.0"],
+    ["simulate", "--t-max", "inf"],
+    ["simulate", "--dt", "nan"],
+    ["simulate", "--pz", "nan"],
+    ["simulate", "--coupling", "-inf"],
+    ["sweep-traveltime", "--p-min", "0.1", "--p-max", "0.3", "--steps", "3",
+     "--horizon-factor", "nan"],
+    ["sweep-traveltime", "--p-min", "0.1", "--p-max", "0.3", "--steps", "3",
+     "--jobs", "0"],
+    ["sweep-traveltime", "--p-min", "0.1", "--p-max", "0.3", "--steps", "1.5"],
+    ["density", "--extent", "0", "--times", "1.0"],
+    ["density", "--n", "-4", "--times", "1.0"],
+    ["density", "--times", "-5"],
+])
+def test_bad_flag_value_exits_2_with_one_line(tmp_path, capsys, args):
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--output", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"coherentpair {args[0]}: error: argument --")
     assert not out.exists()
 
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from coherentpair import meanfield, oracle
+from coherentpair import meanfield, numerics, oracle
+from coherentpair.errors import DegenerateState
 from coherentpair.meanfield import PhaseState, avg_hamiltonian, coulomb_bound, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 from coherentpair.wavepacket import SpreadLaw
@@ -74,6 +75,32 @@ def test_analytic_gradients_match_numeric():
         for num, ana in ((gr_n, gr_a), (gp_n, gp_a)):
             scale = max(float(np.max(np.abs(num))), 1e-8)
             assert float(np.max(np.abs(num - ana))) / scale < 1e-6
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+def test_core_calls_each_special_function_once(monkeypatch, sign):
+    calls = []
+
+    def counted(fn):
+        def wrapper(x):
+            calls.append(fn)
+            return fn(x)
+        return wrapper
+
+    erf, dawson = numerics.erf, numerics.dawson
+    monkeypatch.setattr(numerics, "erf", counted(erf))
+    monkeypatch.setattr(numerics, "dawson", counted(dawson))
+    # rho and pp straddle the series thresholds of both helpers at s = 1
+    for rho in (0.0, 2e-6, 2e-4, 2.0, 400.0):
+        for pp in (0.0, 1e-9, 1e-7, 0.25, 30.0):
+            calls.clear()
+            if sign == -1 and rho == 0.0 and pp == 0.0:
+                with pytest.raises(DegenerateState):
+                    meanfield._core(rho, pp, 1.0, sign, 1.0)
+            else:
+                meanfield._core(rho, pp, 1.0, sign, 1.0)
+            assert calls.count(erf) <= 1, (rho, pp)
+            assert calls.count(dawson) <= 1, (rho, pp)
 
 
 def test_frozen_mode_time_independence():

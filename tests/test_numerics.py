@@ -53,12 +53,31 @@ def test_dawson_against_scipy():
         assert abs(numerics.dawson(float(x)) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def test_dawson_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.unique(np.concatenate([
+        np.geomspace(1e-8, 40.0, 2001),
+        np.linspace(0.2, 8.0, 3901),
+        np.linspace(0.19, 0.21, 401),  # series / Rybicki edge
+        np.linspace(7.99, 8.01, 401),  # Rybicki / asymptotic edge
+    ]))
+    worst = 0.0
+    for x in xs.tolist():
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            ref = float(mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-xm * xm) * mpmath.erfi(xm))
+        val = numerics.dawson(x)
+        assert numerics.dawson(-x) == -val
+        worst = max(worst, abs(val - ref) / ref)
+    assert worst <= 4e-15
+
+
 def test_dawson_ratio_limits():
-    assert numerics.dawson_ratio(0.0) == 1.0
-    assert abs(numerics.dawson_ratio(1e-8) - 1.0) < 1e-10
+    assert numerics.dawson_ratio(0.0)[0] == 1.0
+    assert abs(numerics.dawson_ratio(1e-8)[0] - 1.0) < 1e-10
     # derivative wrt x^2 at 0 is -2/3
-    assert abs(numerics.dawson_ratio_ddx2(0.0) + 2.0 / 3.0) < 1e-12
-    assert abs(numerics.dawson_ratio_ddx2(1e-4) + 2.0 / 3.0) < 1e-6
+    assert abs(numerics.dawson_ratio(0.0)[1] + 2.0 / 3.0) < 1e-12
+    assert abs(numerics.dawson_ratio(1e-4)[1] + 2.0 / 3.0) < 1e-6
 
 
 def test_integrate_unit():

@@ -175,6 +175,8 @@ def _cmd_density(args) -> int:
     else:
         traj = None
     out = Path(args.output)
+    # "%.12g" % v writes the same bytes as _fmt(v)
+    row_fmt = " ".join(["%.12g"] * args.n) + "\n"
     for idx, t in enumerate(times):
         if traj is None or t == 0.0:
             snap = meanfield.initial_state(config)
@@ -182,14 +184,14 @@ def _cmd_density(args) -> int:
             i = int(np.argmin(np.abs(traj.t - t)))
             snap = traj.state(i)
         grid = observables.density_grid(snap, Plane(args.plane), args.extent, args.n)
-        lines = [f"# t={_fmt(t)} extent={_fmt(args.extent)} n={args.n}"]
-        for row in grid:
-            lines.append(" ".join(_fmt(v) for v in row))
         if len(times) == 1:
             path = out
         else:
             path = out.with_name(f"{out.stem}_{idx:03d}{out.suffix}")
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as fh:
+            fh.write(f"# t={_fmt(t)} extent={_fmt(args.extent)} n={args.n}\n")
+            for row in grid:
+                fh.write(row_fmt % tuple(row.tolist()))
     return 0
 
 

@@ -18,9 +18,13 @@ import numpy as np
 
 from . import meanfield, numerics
 from .errors import DegenerateState, MalformedTrajectory, NonFinite
-from .meanfield import EnergyBreakdown, PhaseState, breakdown_from_params, _core
+from .meanfield import PhaseState, breakdown_from_params, _core
 from .pairstate import ExchangeSymmetry, PairConfig, overlap_from_params
 from .wavepacket import SpreadLaw
+
+# largest t_max / dt, the RK4 step count, one ``integrate`` call accepts; it
+# fails before stepping on horizons that would never finish
+MAX_STEPS = 10_000_000
 
 ENERGY_COLUMNS = (
     "kinetic_classical",
@@ -55,19 +59,6 @@ class Trajectory:
 
     def state(self, i: int) -> PhaseState:
         return PhaseState(self.r[i], self.p[i], float(self.t[i]), self.config)
-
-    @property
-    def samples(self):
-        """Sample tuples (t, r, p, sigma_t, overlap, EnergyBreakdown)."""
-        for i in range(self.t.size):
-            yield (
-                float(self.t[i]),
-                self.r[i],
-                self.p[i],
-                float(self.sigma[i]),
-                float(self.overlap[i]),
-                EnergyBreakdown(*self.energy[i, :5]),
-            )
 
 
 class Outcome(enum.Enum):
@@ -165,6 +156,8 @@ def integrate(
     """
     if dt <= 0 or t_max <= dt:
         raise ValueError("need dt > 0 and t_max > dt")
+    if not t_max / dt <= MAX_STEPS:
+        raise ValueError(f"t_max / dt = {t_max / dt:.3g} exceeds the budget of {MAX_STEPS} steps")
     config = initial.config
     deriv = _deriv_factory(config, gradient)
     width = _width_fn(config)
@@ -255,7 +248,8 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
 
     t = 2 int_{d_min}^{d0} dd / sqrt((2/mu)(E - k/d)) with
     E = mu v0^2 / 2 + k/d0 and turning point d_min = k/E; the square-root
-    endpoint singularity is removed by the substitution d = d_min + u^2.
+    endpoint singularity is removed by the substitution d = d_min + u^2,
+    which turns the integrand into 2 sqrt(mu d / (2 E)).
     """
     if d0 <= 0 or v0 <= 0:
         raise ValueError("d0 and v0 must be positive")
@@ -266,12 +260,12 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
     d_min = coupling / energy
 
     def integrand(u: float) -> float:
+        # E - k/d = E u^2 / d exactly, since E d_min = k; with dd = 2 u du
+        # the factor u cancels instead of vanishing in the difference
         d = d_min + u * u
-        speed2 = (2.0 / mu) * (energy - coupling / d)
-        if speed2 <= 0.0:
+        if d <= 0.0:
             return 0.0
-        # dd = 2 u du and sqrt(speed2) ~ u near the turning point
-        return 2.0 * u / math.sqrt(speed2)
+        return 2.0 * math.sqrt(mu * d / (2.0 * energy))
 
     u_max = math.sqrt(max(d0 - d_min, 0.0))
     if u_max == 0.0:

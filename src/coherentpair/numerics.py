@@ -189,76 +189,6 @@ def _adapt(ev, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def integrate_real_line(
-    f: Callable[[float], float],
-    tol: Tolerances = DEFAULT_TOL,
-    scale: float = 4.0,
-) -> float:
-    """Integral of a decaying integrand over the whole real line.
-
-    Uses the substitution x = scale * atanh(u); the integrand must decay
-    faster than the Jacobian grows (Gaussian-family tails do).
-    """
-
-    def g(u: float) -> float:
-        if abs(u) >= 1.0 - 1e-14:
-            return 0.0
-        x = scale * math.atanh(u)
-        return f(x) * scale / (1.0 - u * u)
-
-    return integrate_1d(g, -1.0, 1.0, tol)
-
-
-def integrate_half_line(
-    f: Callable[[float], float],
-    tol: Tolerances = DEFAULT_TOL,
-    scale: float = 4.0,
-) -> float:
-    """Integral of a decaying integrand over [0, infinity)."""
-
-    def g(u: float) -> float:
-        if u >= 1.0 - 1e-14:
-            return 0.0
-        x = scale * math.atanh(u)
-        return f(x) * scale / (1.0 - u * u)
-
-    return integrate_1d(g, 0.0, 1.0, tol)
-
-
-def integrate_3d_separable(
-    fx: Callable[[float], float],
-    fy: Callable[[float], float],
-    fz: Callable[[float], float],
-    tol: Tolerances = DEFAULT_TOL,
-    scale: float = 4.0,
-) -> float:
-    """Product integral of an axis-separable integrand over all of space."""
-    return (
-        integrate_real_line(fx, tol, scale)
-        * integrate_real_line(fy, tol, scale)
-        * integrate_real_line(fz, tol, scale)
-    )
-
-
-def integrate_3d_radial(
-    g: Callable[[float], float],
-    tol: Tolerances = DEFAULT_TOL,
-    scale: float = 4.0,
-) -> float:
-    """Integral of a radially symmetric integrand over 3-space.
-
-    Computes int_0^inf 4 pi d^2 g(d) dd; an integrable 1/d endpoint
-    singularity in ``g`` is harmless because of the d^2 measure.
-    """
-
-    def shell(d: float) -> float:
-        if d == 0.0:
-            return 0.0
-        return 4.0 * math.pi * d * d * g(d)
-
-    return integrate_half_line(shell, tol, scale)
-
-
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [a, b]."""
     x, w = _leggauss_cached(n)

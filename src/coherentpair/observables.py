@@ -239,18 +239,11 @@ def density_grid(state: PhaseState, plane: Plane, extent: float, n: int) -> np.n
         raise ValueError("extent must be positive")
     step = 2.0 * extent / n
     coords = -extent + step * (np.arange(n) + 0.5)
-    c = 0.5 * state.r
-    p = state.p
-    s = state.width
-    sign = state.config.symmetry.sign
-    grid = np.empty((n, n))
-    point = np.zeros(3)
     axis_map = {Plane.XZ: (0, 2), Plane.XY: (0, 1), Plane.YZ: (1, 2)}
     a_col, a_row = axis_map[plane]
-    for i, second in enumerate(coords):
-        for j, first in enumerate(coords):
-            point[:] = 0.0
-            point[a_col] = first
-            point[a_row] = second
-            grid[i, j] = density_from_params(point, c, p, s, sign)
-    return grid
+    points = np.zeros((n, n, 3))
+    points[:, :, a_col] = coords[np.newaxis, :]
+    points[:, :, a_row] = coords[:, np.newaxis]
+    return density_from_params(
+        points, 0.5 * state.r, state.p, state.width, state.config.symmetry.sign
+    )

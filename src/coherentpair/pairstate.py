@@ -132,33 +132,37 @@ def pair_amplitude(config: PairConfig, r1, r2, t: float = 0.0) -> complex:
     return (a11 * a22 + sign * a12 * a21) * _norm_factor(sign, n * n)
 
 
-def density_from_params(x, c, p, s: float, sign: int) -> float:
+def density_from_params(x, c, p, s: float, sign: int) -> float | np.ndarray:
     """One-particle density of a mirrored pair with packets at +/- c.
 
     Two Gaussians of width ``s`` at +/- c plus an interference Gaussian at
     the midpoint weighted by the overlap; normalized so the integral is 2.
+    ``x`` is one point of shape (3,), giving a float, or an array of points
+    of shape (..., 3), giving an array of shape ``x.shape[:-1]``.
     """
-    x = np.asarray(x, dtype=float).reshape(3)
-    c = np.asarray(c, dtype=float).reshape(3)
-    p = np.asarray(p, dtype=float).reshape(3)
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (3,):
+        raise ValueError("points must have shape (..., 3)")
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    c0, c1, c2 = np.asarray(c, dtype=float).reshape(3).tolist()
+    p0, p1, p2 = np.asarray(p, dtype=float).reshape(3).tolist()
     s2 = s * s
     norm = (2.0 * math.pi * s2) ** -1.5
-    g_plus = math.exp(-float(np.dot(x - c, x - c)) / (2.0 * s2))
-    g_minus = math.exp(-float(np.dot(x + c, x + c)) / (2.0 * s2))
-    if sign == 0:
-        return norm * (g_plus + g_minus)
-    n = overlap_from_params(float(np.dot(c, c)), float(np.dot(p, p)), s)
-    n2 = n * n
-    den = 1.0 + sign * n2
-    if den <= _DEGENERATE_EPS:
-        raise DegenerateState("antisymmetric pair state with overlap N -> 1")
-    cross = (
-        2.0
-        * n
-        * math.exp(-(float(np.dot(x, x)) + float(np.dot(c, c))) / (2.0 * s2))
-        * math.cos(2.0 * float(np.dot(p, x)))
-    )
-    return norm * (g_plus + g_minus + sign * cross) / den
+    # one expression per Gaussian lets numpy reuse its temporaries in place;
+    # a point and its mirror image swap the two lobes exactly
+    g = np.exp(-((x0 - c0) ** 2 + (x1 - c1) ** 2 + (x2 - c2) ** 2) / (2.0 * s2))
+    g += np.exp(-((x0 + c0) ** 2 + (x1 + c1) ** 2 + (x2 + c2) ** 2) / (2.0 * s2))
+    den = 1.0
+    if sign != 0:
+        cc = c0 * c0 + c1 * c1 + c2 * c2
+        n = overlap_from_params(cc, p0 * p0 + p1 * p1 + p2 * p2, s)
+        den = 1.0 + sign * n * n
+        if den <= _DEGENERATE_EPS:
+            raise DegenerateState("antisymmetric pair state with overlap N -> 1")
+        cross = 2.0 * n * np.exp(-(x0 ** 2 + x1 ** 2 + x2 ** 2 + cc) / (2.0 * s2))
+        g += sign * cross * np.cos(2.0 * (p0 * x0 + p1 * x1 + p2 * x2))
+    out = norm * g / den
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def one_particle_density(config: PairConfig, r, t: float = 0.0) -> float:

@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import time
+
 import numpy as np
 import pytest
 
-from coherentpair import cli
+from coherentpair import cli, observables
 
 
 def run(args):
@@ -176,6 +178,35 @@ def test_density_multiple_times(tmp_path):
     second = tmp_path / "g_001.txt"
     assert first.exists() and second.exists()
     assert first.read_text().splitlines()[0].startswith("# t=10")
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--t-max", "1e300", "--dt", "0.01"],
+    ["density", "--times", "1e300"],
+])
+def test_huge_horizon_exits_2_before_stepping(tmp_path, capsys, args):
+    out = tmp_path / "x.out"
+    start = time.perf_counter()
+    code = run(args + ["--output", str(out)])
+    assert time.perf_counter() - start < 10.0
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "step" in err[0] and "budget" in err[0]
+    assert not out.exists()
+
+
+def test_density_rows_match_per_cell_format(tmp_path, monkeypatch):
+    n = 16
+    tiny = np.finfo(float).tiny
+    values = [0.0, -0.0, tiny, tiny / 3.0, 5e-324, 1.0, 1.0 / 3.0, 2.0 / 3.0,
+              123456789012.5, 1e300, np.finfo(float).max, 1e-5, 0.1, 7.0, 1e12, 1e11]
+    grid = np.array([np.roll(values, k) for k in range(n)])
+    monkeypatch.setattr(observables, "density_grid", lambda *args: grid)
+    out = tmp_path / "grid.txt"
+    code = run(["density", "--n", str(n), "--times", "0", "--output", str(out)])
+    assert code == 0
+    rows = out.read_text().split("\n")[1:-1]
+    assert rows == [" ".join(cli._fmt(v) for v in row) for row in grid]
 
 
 def test_validate_small_seed_list(tmp_path, capsys):

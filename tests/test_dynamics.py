@@ -109,6 +109,30 @@ def test_classical_traveltime_free_limit():
         assert abs(t / dynamics.free_traveltime(d0, v0) - 1.0) < gate
 
 
+def classical_return_time(d0, p, coupling):
+    """Closed form of the reduced-mass Coulomb return time at v0 = 2 p.
+
+    With E = p^2 + k/d0: t = d0 p / E + k E^-3/2 ln((sqrt(E d0) + p sqrt(d0)) / sqrt(k)).
+    """
+    energy = p * p + coupling / d0
+    return d0 * p / energy + coupling * energy ** -1.5 * math.log(
+        (math.sqrt(energy * d0) + p * math.sqrt(d0)) / math.sqrt(coupling)
+    )
+
+
+@pytest.mark.parametrize("coupling", [0.5, 1.0, 2.0])
+def test_classical_traveltime_closed_form(coupling):
+    # near the turning point E - k/d used to cancel; p = 0.12 at r0 = 5
+    # (d0 = 10) was 2.2e-8 off
+    cases = [(float(p), float(d0)) for p in np.linspace(0.05, 2.0, 14)
+             for d0 in np.linspace(2.0, 20.0, 7)]
+    cases.append((0.12, 10.0))
+    for p, d0 in cases:
+        got = dynamics.classical_traveltime(d0, 2.0 * p, coupling)
+        want = classical_return_time(d0, p, coupling)
+        assert abs(got / want - 1.0) <= 1e-10, (p, d0)
+
+
 def test_classical_traveltime_monotone():
     # strictly decreasing beyond the shallow-entry peak near v0 ~ 0.6
     # (slower pairs turn around right at d0, so t -> 0 as v0 -> 0)
@@ -177,11 +201,17 @@ def test_sweep_parallel_matches_serial():
         assert a == b
 
 
-def test_trajectory_samples_view():
-    cfg = make_config(p=0.5, frozen=True)
-    traj = dynamics.integrate(initial_state(cfg), 0.1, 1.0)
-    samples = list(traj.samples)
-    assert len(samples) == traj.t.size
-    t0, r0, p0, s0, n0, e0 = samples[0]
-    assert t0 == 0.0 and s0 == 1.0
-    assert abs(e0.total - traj.energy[0, 5]) < 1e-15
+def test_integrate_step_budget():
+    cfg = make_config(p=0.5)
+    with pytest.raises(ValueError, match="budget"):
+        dynamics.integrate(initial_state(cfg), 0.01, 1e300)
+    with pytest.raises(ValueError, match="budget"):
+        dynamics.integrate(initial_state(cfg), 1e-300, 1e300)  # t_max / dt = inf
+    with pytest.raises(ValueError, match="budget"):
+        dynamics.integrate(initial_state(cfg), 1.0, dynamics.MAX_STEPS + 1.0)
+
+
+def test_sweep_huge_horizon_is_an_error_record():
+    records = dynamics.sweep_traveltime(make_config(p=0.5), [0.5], horizon_factor=1e300)
+    assert records[0].t_coherent is None and records[0].regime is None
+    assert "budget" in records[0].error

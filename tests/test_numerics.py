@@ -80,12 +80,63 @@ def test_dawson_ratio_limits():
     assert abs(numerics.dawson_ratio(1e-4)[1] + 2.0 / 3.0) < 1e-6
 
 
+# Whole-line, half-line and 3D quadratures built on integrate_1d; the tests
+# use them as references (test_wavepacket imports integrate_real_line).
+
+def integrate_real_line(f, tol=numerics.DEFAULT_TOL, scale=4.0):
+    """Integral of a decaying integrand over the real line, via x = scale atanh(u).
+
+    The integrand must decay faster than the Jacobian grows (Gaussian-family
+    tails do).
+    """
+
+    def g(u):
+        if abs(u) >= 1.0 - 1e-14:
+            return 0.0
+        x = scale * math.atanh(u)
+        return f(x) * scale / (1.0 - u * u)
+
+    return numerics.integrate_1d(g, -1.0, 1.0, tol)
+
+
+def integrate_half_line(f, tol=numerics.DEFAULT_TOL, scale=4.0):
+    """Integral of a decaying integrand over [0, infinity)."""
+
+    def g(u):
+        if u >= 1.0 - 1e-14:
+            return 0.0
+        x = scale * math.atanh(u)
+        return f(x) * scale / (1.0 - u * u)
+
+    return numerics.integrate_1d(g, 0.0, 1.0, tol)
+
+
+def integrate_3d_separable(fx, fy, fz, tol=numerics.DEFAULT_TOL, scale=4.0):
+    """Product integral of an axis-separable integrand over all of space."""
+    return (
+        integrate_real_line(fx, tol, scale)
+        * integrate_real_line(fy, tol, scale)
+        * integrate_real_line(fz, tol, scale)
+    )
+
+
+def integrate_3d_radial(g, tol=numerics.DEFAULT_TOL, scale=4.0):
+    """int_0^inf 4 pi d^2 g(d) dd; a 1/d singularity in ``g`` is harmless."""
+
+    def shell(d):
+        if d == 0.0:
+            return 0.0
+        return 4.0 * math.pi * d * d * g(d)
+
+    return integrate_half_line(shell, tol, scale)
+
+
 def test_integrate_unit():
     assert abs(numerics.integrate_1d(lambda x: 1.0, 0.0, 1.0) - 1.0) < 1e-12
 
 
 def test_integrate_gaussian_real_line():
-    val = numerics.integrate_real_line(
+    val = integrate_real_line(
         lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     )
     assert abs(val - 1.0) < 1e-10
@@ -93,22 +144,22 @@ def test_integrate_gaussian_real_line():
 
 def test_integrate_half_line_closed_form():
     # int_0^inf exp(-d^2) d dd = 1/2
-    val = numerics.integrate_half_line(lambda d: math.exp(-d * d) * d)
+    val = integrate_half_line(lambda d: math.exp(-d * d) * d)
     assert abs(val - 0.5) < 1e-10
 
 
 def test_integrate_3d_separable():
     g = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    assert abs(numerics.integrate_3d_separable(g, g, g) - 1.0) < 1e-9
+    assert abs(integrate_3d_separable(g, g, g) - 1.0) < 1e-9
     sigma = 1.7
     gs = lambda x: math.exp(-0.5 * (x / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    second = numerics.integrate_3d_separable(lambda x: x * x * gs(x), gs, gs)
+    second = integrate_3d_separable(lambda x: x * x * gs(x), gs, gs)
     assert abs(second - sigma * sigma) < 1e-8
 
 
 def test_integrate_3d_radial():
     # int exp(-d^2)/d over 3-space = 2 pi
-    val = numerics.integrate_3d_radial(lambda d: math.exp(-d * d) / d)
+    val = integrate_3d_radial(lambda d: math.exp(-d * d) / d)
     assert abs(val - 2.0 * math.pi) < 1e-8
 
 

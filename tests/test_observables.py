@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coherentpair import dynamics, observables, oracle
-from coherentpair.errors import PreconditionViolated
+from coherentpair.errors import DegenerateState, PreconditionViolated
 from coherentpair.meanfield import PhaseState, initial_state
 from coherentpair.numerics import gauss_legendre
 from coherentpair.observables import (
@@ -21,7 +21,7 @@ from coherentpair.observables import (
     quadrupole_timeseries,
     tensor_from_params,
 )
-from coherentpair.pairstate import ExchangeSymmetry, PairConfig
+from coherentpair.pairstate import ExchangeSymmetry, PairConfig, density_from_params
 from coherentpair.wavepacket import SpreadLaw
 
 
@@ -180,6 +180,109 @@ def test_density_grid_shape_and_symmetry():
     grid = density_grid(state, Plane.XZ, extent=6.0, n=24)
     assert grid.shape == (24, 24)
     np.testing.assert_allclose(grid, np.rot90(grid, 2), atol=1e-10 * float(grid.max()))
+
+
+def density_at_point(x, c, p, s, sign):
+    """Reference: the scalar one-point density, one math.exp per Gaussian."""
+    s2 = s * s
+    norm = (2.0 * math.pi * s2) ** -1.5
+    g_plus = math.exp(-float(np.dot(x - c, x - c)) / (2.0 * s2))
+    g_minus = math.exp(-float(np.dot(x + c, x + c)) / (2.0 * s2))
+    if sign == 0:
+        return norm * (g_plus + g_minus)
+    n = math.exp(-float(np.dot(c, c)) / (2.0 * s2) - 2.0 * s2 * float(np.dot(p, p)))
+    cross = (2.0 * n * math.exp(-(float(np.dot(x, x)) + float(np.dot(c, c))) / (2.0 * s2))
+             * math.cos(2.0 * float(np.dot(p, x))))
+    return norm * (g_plus + g_minus + sign * cross) / (1.0 + sign * n * n)
+
+
+def density_grid_per_cell(state, plane, extent, n):
+    """Reference: the grid filled one scalar density evaluation per cell."""
+    step = 2.0 * extent / n
+    coords = -extent + step * (np.arange(n) + 0.5)
+    a_col, a_row = {Plane.XZ: (0, 2), Plane.XY: (0, 1), Plane.YZ: (1, 2)}[plane]
+    c = 0.5 * state.r
+    sign = state.config.symmetry.sign
+    grid = np.empty((n, n))
+    point = np.zeros(3)
+    for i, second in enumerate(coords):
+        for j, first in enumerate(coords):
+            point[:] = 0.0
+            point[a_col] = first
+            point[a_row] = second
+            grid[i, j] = density_at_point(point, c, state.p, state.width, sign)
+    return grid
+
+
+def centres_antisymmetric(extent, n):
+    step = 2.0 * extent / n
+    coords = -extent + step * (np.arange(n) + 0.5)
+    return bool(np.array_equal(coords, -coords[::-1]))
+
+
+_SYMMETRIES = (
+    ExchangeSymmetry.SYMMETRIC,
+    ExchangeSymmetry.ANTISYMMETRIC,
+    ExchangeSymmetry.DISTINGUISHABLE,
+)
+
+
+@pytest.mark.parametrize("plane", list(Plane))
+@pytest.mark.parametrize("symmetry", _SYMMETRIES)
+@pytest.mark.parametrize("frozen", [False, True])
+def test_density_grid_matches_per_cell_loop(plane, symmetry, frozen):
+    law = SpreadLaw.frozen_width() if frozen else None
+    cfg = PairConfig(1.0, np.array([0.0, 0.0, 1.0]), np.array([0.05, 0.0, 0.0]),
+                     symmetry, 1.0, law)
+    # every component nonzero, so each plane sees the lobes and the phase
+    state = PhaseState(np.array([0.7, -0.4, 1.9]), np.array([0.3, 0.2, -0.5]), 6.0, cfg)
+    # exactly antisymmetric cell centres come only with some even n
+    antisymmetric_cases = 0
+    for extent, n in ((6.0, 24), (4.0, 32), (7.3, 17), (3.1, 16), (0.7, 33)):
+        grid = density_grid(state, plane, extent, n)
+        ref = density_grid_per_cell(state, plane, extent, n)
+        assert grid.shape == (n, n)
+        np.testing.assert_allclose(grid, ref, rtol=1e-12, atol=np.finfo(float).tiny)
+        if centres_antisymmetric(extent, n):
+            antisymmetric_cases += 1
+            assert np.array_equal(grid, grid[::-1, ::-1])
+    assert antisymmetric_cases >= 2
+
+
+@pytest.mark.parametrize("sign", [1, -1, 0])
+def test_density_from_params_point_and_batch_agree(sign):
+    points = np.random.default_rng(5).uniform(-6.0, 6.0, size=(5, 7, 3))
+    c, p, s = np.array([0.4, -0.2, 1.5]), np.array([0.3, 0.1, -0.6]), 1.3
+    batch = density_from_params(points, c, p, s, sign)
+    assert batch.shape == (5, 7)
+    for idx in np.ndindex(5, 7):
+        one = density_from_params(points[idx], c, p, s, sign)
+        assert type(one) is float
+        assert one == pytest.approx(batch[idx], rel=1e-12, abs=np.finfo(float).tiny)
+        assert one == pytest.approx(density_at_point(points[idx], c, p, s, sign), rel=1e-12)
+
+
+def test_density_grid_degenerate_antisymmetric_pair():
+    # N -> 1: the antisymmetric state vanishes and cannot be normalized
+    state = state_with([0.0, 0.0, 1e-7], [0.0, 0.0, 0.0],
+                       symmetry=ExchangeSymmetry.ANTISYMMETRIC)
+    with pytest.raises(DegenerateState):
+        density_grid(state, Plane.XZ, extent=4.0, n=16)
+
+
+def test_density_grid_makes_one_density_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return density_from_params(*args)
+
+    monkeypatch.setattr(observables, "density_from_params", counted)
+    state = state_with([0.0, 0.0, 4.0], [0.0, 0.0, -0.3])
+    grid = density_grid(state, Plane.XY, extent=6.0, n=40)
+    assert len(calls) == 1
+    assert calls[0][0].shape == (40, 40, 3)
+    assert grid.shape == (40, 40)
 
 
 def test_density_grid_riemann_consistency():

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from coherentpair import numerics, wavepacket
+from coherentpair import wavepacket
 from coherentpair.wavepacket import PacketParams, SpreadLaw
+
+from test_numerics import integrate_real_line
 
 
 def axis_envelope(sigma, c, x):
@@ -51,7 +53,7 @@ def test_amplitude_norm():
         total = 1.0
         for ax in range(3):
             f = lambda x, ax=ax: axis_envelope(s, c[ax], x) ** 2
-            total *= numerics.integrate_real_line(f, scale=12.0)
+            total *= integrate_real_line(f, scale=12.0)
         assert abs(total - 1.0) < 1e-8
         # the sampled amplitude factorizes into exactly these envelopes
         r = np.array([0.3, 0.1, -0.2])
@@ -71,8 +73,8 @@ def test_amplitude_peak_and_mean_on_drift_line():
     assert abs(zs[int(np.argmax(dens))] - 2.5) < 0.02
     # quadrature mean along z equals the drifted center
     s = wavepacket.sigma_t(params, law, t)
-    num = numerics.integrate_real_line(lambda z: z * axis_envelope(s, c[2], z) ** 2, scale=16.0)
-    den = numerics.integrate_real_line(lambda z: axis_envelope(s, c[2], z) ** 2, scale=16.0)
+    num = integrate_real_line(lambda z: z * axis_envelope(s, c[2], z) ** 2, scale=16.0)
+    den = integrate_real_line(lambda z: axis_envelope(s, c[2], z) ** 2, scale=16.0)
     assert abs(num / den - 2.5) < 1e-8
 
 
@@ -89,7 +91,7 @@ def kinetic_quadrature(params):
             denv = -(x - c) / (2 * sigma * sigma) * env
             return denv * denv + k * k * env * env
 
-        total += numerics.integrate_real_line(integrand, scale=10.0 * sigma)
+        total += integrate_real_line(integrand, scale=10.0 * sigma)
     return 0.5 * total
 
 
@@ -124,7 +126,7 @@ def test_uncertainty_product_at_culmination():
         denv = -x / (2 * sigma * sigma) * env
         return denv * denv
 
-    p2_spread = numerics.integrate_real_line(integrand, scale=10.0 * sigma)
+    p2_spread = integrate_real_line(integrand, scale=10.0 * sigma)
     sigma_p = math.sqrt(p2_spread)
     assert abs(sigma * sigma_p - 0.5) < 1e-8
     _ = params

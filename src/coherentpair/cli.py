@@ -168,18 +168,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_density(args) -> int:
     config = _config_from_args(args)
     times = sorted(set(args.times))
-    horizon = max(times) if max(times) > 0 else args.dt
     state = meanfield.initial_state(config)
-    if max(times) > 0:
-        traj = dynamics.integrate(state, args.dt, horizon + args.dt)
-    else:
-        traj = None
+    if times[-1] > 0:
+        traj = dynamics.integrate(state, args.dt, times[-1] + args.dt)
     out = Path(args.output)
     # "%.12g" % v writes the same bytes as _fmt(v)
     row_fmt = " ".join(["%.12g"] * args.n) + "\n"
     for idx, t in enumerate(times):
-        if traj is None or t == 0.0:
-            snap = meanfield.initial_state(config)
+        if t == 0.0:
+            snap = state
         else:
             i = int(np.argmin(np.abs(traj.t - t)))
             snap = traj.state(i)

@@ -12,19 +12,23 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import meanfield, numerics
 from .errors import DegenerateState, MalformedTrajectory, NonFinite
 from .meanfield import PhaseState, breakdown_from_params, _core
-from .pairstate import ExchangeSymmetry, PairConfig, overlap_from_params
-from .wavepacket import SpreadLaw
+from .pairstate import PairConfig, overlap_from_params
 
 # largest t_max / dt, the RK4 step count, one ``integrate`` call accepts; it
 # fails before stepping on horizons that would never finish
 MAX_STEPS = 10_000_000
+
+# regime thresholds of ``classify``, in units of the culmination width sigma
+PASSTHROUGH_FRACTION = 0.1
+FROZEN_RATIO = 1.0
 
 ENERGY_COLUMNS = (
     "kinetic_classical",
@@ -38,9 +42,10 @@ ENERGY_COLUMNS = (
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Columnar time series of one integration run.
+    """Path of one integration run: r, p and the width at every sample time.
 
-    ``energy`` columns follow :data:`ENERGY_COLUMNS`.
+    ``overlap`` and ``energy`` (columns as in :data:`ENERGY_COLUMNS`) are
+    derived from the path when first read, then kept.
     """
 
     config: PairConfig
@@ -50,8 +55,6 @@ class Trajectory:
     r: np.ndarray
     p: np.ndarray
     sigma: np.ndarray
-    overlap: np.ndarray
-    energy: np.ndarray
 
     @property
     def separation(self) -> np.ndarray:
@@ -59,6 +62,39 @@ class Trajectory:
 
     def state(self, i: int) -> PhaseState:
         return PhaseState(self.r[i], self.p[i], float(self.t[i]), self.config)
+
+    @cached_property
+    def _invariants(self) -> list[tuple[float, float, float]]:
+        """(|r|^2, |p|^2, sigma_x) of every sample as Python floats."""
+        return [
+            (float(np.dot(r, r)), float(np.dot(p, p)), s)
+            for r, p, s in zip(self.r, self.p, self.sigma.tolist())
+        ]
+
+    @cached_property
+    def overlap(self) -> np.ndarray:
+        """Packet overlap N at every sample."""
+        return np.array(
+            [overlap_from_params(0.25 * rho, pp, s) for rho, pp, s in self._invariants]
+        )
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """Energy terms at every sample, one row per sample."""
+        sign = self.config.symmetry.sign
+        kappa = self.config.coupling
+        rows = []
+        for rho, pp, s in self._invariants:
+            bd = breakdown_from_params(rho, pp, s, sign, kappa)
+            rows.append((
+                bd.kinetic_classical,
+                bd.kinetic_uncertainty,
+                bd.kinetic_exchange,
+                bd.coulomb_direct,
+                bd.coulomb_exchange,
+                bd.total,
+            ))
+        return np.array(rows)
 
 
 class Outcome(enum.Enum):
@@ -87,70 +123,17 @@ class Regime(enum.Enum):
     NO_RETURN = "noreturn"
 
 
-def _width_fn(config: PairConfig):
-    law = config.law
-    sigma = config.sigma
-
-    if law.frozen:
-
-        def frozen(_t: float) -> float:
-            return sigma
-
-        return frozen
-
-    omega = law.omega
-
-    def spreading(t: float) -> float:
-        return sigma * math.sqrt(1.0 + (omega * t) ** 2)
-
-    return spreading
-
-
-def _deriv_factory(config: PairConfig, gradient: str):
-    """(y6, t) -> dy6/dt for y6 = (rx, ry, rz, px, py, pz)."""
-    sign = config.symmetry.sign
-    kappa = config.coupling
-    width = _width_fn(config)
-
-    if gradient == "analytic":
-
-        def deriv(y: np.ndarray, t: float) -> np.ndarray:
-            # Python floats keep the scalar kernel off numpy's scalar types
-            rx, ry, rz, px, py, pz = y.tolist()
-            s = width(t)
-            rho = rx * rx + ry * ry + rz * rz
-            pp = px * px + py * py + pz * pz
-            _, de_drho, de_dpp = _core(rho, pp, s, sign, kappa)
-            gr = 2.0 * de_drho
-            gp = 2.0 * de_dpp
-            return np.array([gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz])
-
-        return deriv
-
-    if gradient == "numeric":
-
-        def deriv_numeric(y: np.ndarray, t: float) -> np.ndarray:
-            state = PhaseState(y[:3], y[3:], t, config)
-            gr = meanfield.grad_r(state)
-            gp = meanfield.grad_p(state)
-            return np.concatenate([gp, -gr])
-
-        return deriv_numeric
-
-    raise ValueError("gradient must be 'analytic' or 'numeric'")
-
-
 def integrate(
     initial: PhaseState,
     dt: float,
     t_max: float,
-    gradient: str = "analytic",
     stop_at_separation: float | None = None,
 ) -> Trajectory:
     """RK4 integration with one recorded sample per step.
 
-    ``gradient`` selects the analytic fast path (default; validated against
-    the central-difference gradients) or the numeric one.  If
+    The right-hand side is the analytic gradient from ``meanfield._core``
+    at the width the config's spread law gives; the tests hold it to the
+    central-difference gradients ``meanfield.grad_r`` and ``grad_p``.  If
     ``stop_at_separation`` is given, integration ends early once the
     separation exceeds it after having dipped below (sweep shortcut).
     """
@@ -159,10 +142,21 @@ def integrate(
     if not t_max / dt <= MAX_STEPS:
         raise ValueError(f"t_max / dt = {t_max / dt:.3g} exceeds the budget of {MAX_STEPS} steps")
     config = initial.config
-    deriv = _deriv_factory(config, gradient)
-    width = _width_fn(config)
+    sigma = config.sigma
+    width = config.law.width
     sign = config.symmetry.sign
     kappa = config.coupling
+
+    def deriv(y: np.ndarray, t: float) -> np.ndarray:
+        """dy/dt for y = (rx, ry, rz, px, py, pz)."""
+        # Python floats keep the scalar kernel off numpy's scalar types
+        rx, ry, rz, px, py, pz = y.tolist()
+        rho = rx * rx + ry * ry + rz * rz
+        pp = px * px + py * py + pz * pz
+        _, de_drho, de_dpp = _core(rho, pp, width(sigma, t), sign, kappa)
+        gr = 2.0 * de_drho
+        gp = 2.0 * de_dpp
+        return np.array([gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz])
 
     n_steps = int(round(t_max / dt))
     y = np.concatenate([initial.r, initial.p]).astype(float)
@@ -185,27 +179,8 @@ def integrate(
 
     tarr = np.array(ts)
     yarr = np.array(ys)
-    rarr = yarr[:, :3]
-    parr = yarr[:, 3:]
-    sarr = np.array([width(tv) for tv in tarr])
-    oarr = np.empty_like(tarr)
-    earr = np.empty((tarr.size, 6))
-    for i in range(tarr.size):
-        rho = float(np.dot(rarr[i], rarr[i]))
-        pp = float(np.dot(parr[i], parr[i]))
-        oarr[i] = overlap_from_params(0.25 * rho, pp, float(sarr[i]))
-        bd = breakdown_from_params(rho, pp, float(sarr[i]), sign, kappa)
-        earr[i] = (
-            bd.kinetic_classical,
-            bd.kinetic_uncertainty,
-            bd.kinetic_exchange,
-            bd.coulomb_direct,
-            bd.coulomb_exchange,
-            bd.total,
-        )
-    if not (np.all(np.isfinite(rarr)) and np.all(np.isfinite(parr))):
-        raise NonFinite("trajectory blew up")
-    return Trajectory(config, dt, t_max, tarr, rarr, parr, sarr, oarr, earr)
+    sarr = np.array([width(sigma, tv) for tv in tarr])
+    return Trajectory(config, dt, t_max, tarr, yarr[:, :3], yarr[:, 3:], sarr)
 
 
 def traveltime(traj: Trajectory) -> TraveltimeResult:
@@ -249,7 +224,8 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
     t = 2 int_{d_min}^{d0} dd / sqrt((2/mu)(E - k/d)) with
     E = mu v0^2 / 2 + k/d0 and turning point d_min = k/E; the square-root
     endpoint singularity is removed by the substitution d = d_min + u^2,
-    which turns the integrand into 2 sqrt(mu d / (2 E)).
+    which turns the integrand into 2 sqrt(mu d / (2 E)).  That form needs
+    E > 0; an attractive coupling can make E <= 0, which raises ValueError.
     """
     if d0 <= 0 or v0 <= 0:
         raise ValueError("d0 and v0 must be positive")
@@ -257,6 +233,8 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
         return free_traveltime(d0, v0)
     mu = 0.5
     energy = 0.5 * mu * v0 * v0 + coupling / d0
+    if not energy > 0.0:
+        raise ValueError(f"classical traveltime needs energy E > 0, got E = {energy:.6g}")
     d_min = coupling / energy
 
     def integrand(u: float) -> float:
@@ -273,28 +251,23 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
     return 2.0 * numerics.integrate_1d(integrand, 0.0, u_max)
 
 
-def classify(
-    traj: Trajectory,
-    result: TraveltimeResult,
-    frozen_ratio: float = 1.0,
-    passthrough_fraction: float = 0.1,
-) -> Regime:
+def classify(traj: Trajectory, result: TraveltimeResult) -> Regime:
     """Impact regime of a finished trajectory.
 
-    Return with a deep minimum (d_min < passthrough_fraction * sigma) is a
+    Return with a deep minimum (d_min < PASSTHROUGH_FRACTION * sigma) is a
     pass-through, any other return is a classical-like reflection.  Without
     a return the trajectory is frozen when d(t)/sigma_x(t) stays below
-    ``frozen_ratio`` over the final quarter, otherwise NO_RETURN.
+    FROZEN_RATIO over the final quarter, otherwise NO_RETURN.
     """
     sigma = traj.config.sigma
     if result.outcome is Outcome.RETURN:
-        if result.d_min < passthrough_fraction * sigma:
+        if result.d_min < PASSTHROUGH_FRACTION * sigma:
             return Regime.PASS_THROUGH
         return Regime.CLASSICAL_LIKE
     d = traj.separation
     start = (3 * d.size) // 4
     ratio = d[start:] / traj.sigma[start:]
-    if float(np.max(ratio)) < frozen_ratio:
+    if float(np.max(ratio)) < FROZEN_RATIO:
         return Regime.FROZEN
     return Regime.NO_RETURN
 
@@ -312,23 +285,23 @@ class SweepRecord:
     error: str | None = None
 
 
-def _sweep_point(args) -> SweepRecord:
-    (sigma, r0z, p_val, symmetry, coupling, frozen, dt, t_max, horizon) = args
+def _sweep_point(
+    template: PairConfig,
+    dt: float | None,
+    t_max: float | None,
+    horizon_factor: float,
+    p_val: float,
+) -> SweepRecord:
     try:
-        law = SpreadLaw.frozen_width() if frozen else None
-        config = PairConfig(
-            sigma,
-            np.array([0.0, 0.0, r0z]),
-            np.array([0.0, 0.0, -p_val]),
-            ExchangeSymmetry(symmetry),
-            coupling,
-            law,
+        r0z = float(template.r0[2])
+        config = replace(
+            template, r0=np.array([0.0, 0.0, r0z]), p0=np.array([0.0, 0.0, -p_val])
         )
         d0 = 2.0 * r0z
         v0 = 2.0 * p_val
         t_free = free_traveltime(d0, v0)
-        t_cl = classical_traveltime(d0, v0, coupling)
-        horizon_t = t_max if t_max is not None else horizon * t_free
+        t_cl = classical_traveltime(d0, v0, config.coupling)
+        horizon_t = t_max if t_max is not None else horizon_factor * t_free
         step = dt if dt is not None else t_free / 400.0
         traj = integrate(
             meanfield.initial_state(config),
@@ -354,28 +327,15 @@ def sweep_traveltime(
     """One record per grid momentum; per-record errors never abort the sweep.
 
     Each point integrates an inward head-on trajectory from the template's
-    offset (packets at +/- r0) with |p| from the grid; records are returned
+    offset along z (packets at +/- r0) with |p| from the grid; spin, width,
+    spread law and coupling come from the template.  Records are returned
     in grid order regardless of the worker count.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise ValueError("empty momentum grid")
-    r0z = float(config.r0[2])
-    args = [
-        (
-            config.sigma,
-            r0z,
-            p,
-            config.symmetry.value,
-            config.coupling,
-            config.law.frozen,
-            dt,
-            t_max,
-            horizon_factor,
-        )
-        for p in p_grid
-    ]
+    point = partial(_sweep_point, config, dt, t_max, horizon_factor)
     if jobs <= 1:
-        return [_sweep_point(a) for a in args]
+        return [point(p) for p in p_grid]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_point, args))
+        return list(pool.map(point, p_grid))

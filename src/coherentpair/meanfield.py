@@ -9,8 +9,9 @@ reduce to the reduced-mass m/2 Coulomb collision when the width is small.
 
 Every closed-form term below was derived from Gaussian integrals over the
 pair state and is pinned term-by-term by the quadrature oracles; none of
-them is trusted on its own (gradients default to central differences, the
-analytic fast path is validated against them).
+them is trusted on its own.  One kernel, ``_core``, gives the energy terms
+and the analytic gradient the dynamics integrates; the central-difference
+gradients ``grad_r`` and ``grad_p`` are the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateState
 from .numerics import Tolerances, DEFAULT_TOL
-from .pairstate import PairConfig, overlap_from_params
+# bench/tracer.py wraps overlap_from_params under this module's name as well
+from .pairstate import PairConfig, overlap_from_params  # noqa: F401
 from .wavepacket import PacketParams, sigma_t
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -54,18 +56,11 @@ class PhaseState:
     @property
     def width(self) -> float:
         """Packet width sigma_x(t) under the config's spread law."""
-        return sigma_t(PacketParams(self.config.sigma), self.config.law, self.t)
+        return self.config.law.width(self.config.sigma, self.t)
 
     @property
     def separation(self) -> float:
         return float(np.linalg.norm(self.r))
-
-    @property
-    def overlap(self) -> float:
-        r2 = float(np.dot(self.r, self.r))
-        p2 = float(np.dot(self.p, self.p))
-        s = self.width
-        return overlap_from_params(0.25 * r2, p2, s)
 
 
 def initial_state(config: PairConfig) -> PhaseState:
@@ -187,7 +182,7 @@ def total_energy(state: PhaseState) -> float:
 
 
 def grad_r(state: PhaseState, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """dE/dr by central differences (the default, trusted path)."""
+    """dE/dr by central differences, the reference for the analytic gradient."""
 
     def f(r: np.ndarray) -> float:
         return total_energy(PhaseState(r, state.p, state.t, state.config))
@@ -196,33 +191,12 @@ def grad_r(state: PhaseState, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def grad_p(state: PhaseState, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """dE/dp by central differences (the default, trusted path)."""
+    """dE/dp by central differences, the reference for the analytic gradient."""
 
     def f(p: np.ndarray) -> float:
         return total_energy(PhaseState(state.r, p, state.t, state.config))
 
     return numerics.central_gradient(f, state.p, tol)
-
-
-def grad_r_analytic(state: PhaseState) -> np.ndarray:
-    """Analytic dE/dr; an optimization, validated against grad_r."""
-    rho = float(np.dot(state.r, state.r))
-    pp = float(np.dot(state.p, state.p))
-    _, de_drho, _ = _core(rho, pp, state.width, state.config.symmetry.sign, state.config.coupling)
-    return 2.0 * de_drho * state.r
-
-
-def grad_p_analytic(state: PhaseState) -> np.ndarray:
-    """Analytic dE/dp; an optimization, validated against grad_p."""
-    rho = float(np.dot(state.r, state.r))
-    pp = float(np.dot(state.p, state.p))
-    _, _, de_dpp = _core(rho, pp, state.width, state.config.symmetry.sign, state.config.coupling)
-    return 2.0 * de_dpp * state.p
-
-
-def coulomb_parts(rho: float, pp: float, s: float, sign: int, kappa: float) -> float:
-    parts, _, _ = _core(rho, pp, s, sign, kappa)
-    return parts[3] + parts[4]
 
 
 def coulomb_bound(config: PairConfig, t: float = 0.0) -> float:
@@ -238,7 +212,8 @@ def coulomb_bound(config: PairConfig, t: float = 0.0) -> float:
     sign = config.symmetry.sign
 
     def val(d: float) -> float:
-        return coulomb_parts(d * d, pp, s, sign, config.coupling)
+        parts, _, _ = _core(d * d, pp, s, sign, config.coupling)
+        return parts[3] + parts[4]
 
     grid = np.linspace(0.0, 10.0 * config.sigma, 201)
     values = [val(d) for d in grid]

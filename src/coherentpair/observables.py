@@ -43,15 +43,6 @@ class QuadrupoleTensor:
             self.d_xx ** 2 + self.d_yy ** 2 + self.d_zz ** 2 + 2.0 * self.d_xz ** 2
         )
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.d_xx, 0.0, self.d_xz],
-                [0.0, self.d_yy, 0.0],
-                [self.d_xz, 0.0, self.d_zz],
-            ]
-        )
-
 
 def tensor_from_params(c, p, s: float, sign: int) -> QuadrupoleTensor:
     """Closed-form tensor for packets at +/- c with momenta +/- p, width s.

@@ -67,6 +67,12 @@ class SpreadLaw:
     def frozen_width(cls) -> "SpreadLaw":
         return cls(0.0, frozen=True)
 
+    def width(self, sigma: float, t: float) -> float:
+        """sigma_x at time ``t`` after culmination of a packet of width ``sigma``."""
+        if self.frozen:
+            return sigma
+        return sigma * math.sqrt(1.0 + (self.omega * t) ** 2)
+
 
 def spreading_rate(params: PacketParams) -> float:
     """Spreading rate omega = hbar / (2 m sigma^2), a.u.: 1 / (2 sigma^2).
@@ -82,10 +88,7 @@ def sigma_t(params: PacketParams, law: SpreadLaw, t: float) -> float:
     """Width sigma_x(t); equals sigma at culmination and in frozen mode."""
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    if law.frozen:
-        return params.sigma
-    dt = t - params.t0
-    return params.sigma * math.sqrt(1.0 + (law.omega * dt) ** 2)
+    return law.width(params.sigma, t - params.t0)
 
 
 def center(params: PacketParams, t: float) -> np.ndarray:

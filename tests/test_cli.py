@@ -135,6 +135,20 @@ def test_sweep_single_step(tmp_path):
     assert float(t_coh) > 0
 
 
+def test_sweep_attractive_zero_energy_is_an_error_row(tmp_path, capsys):
+    # E = p^2 + k/d0 = 0.25 - 2.5/10 = 0: no classical traveltime
+    out = tmp_path / "zero.csv"
+    code = run([
+        "sweep-traveltime", "--coupling", "-2.5", "--r0", "5", "--p-min", "0.5",
+        "--p-max", "0.5", "--steps", "1", "--output", str(out),
+    ])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("0.5,,,,error:") and "E = 0" in lines[1]
+
+
 def test_quadrupole_verdict_on_last_row(tmp_path):
     out = tmp_path / "q.csv"
     code = run([

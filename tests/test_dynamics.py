@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from coherentpair import dynamics
+from coherentpair import dynamics, meanfield, numerics, pairstate, wavepacket
 from coherentpair.dynamics import Outcome, Regime
 from coherentpair.errors import MalformedTrajectory
-from coherentpair.meanfield import initial_state
+from coherentpair.meanfield import PhaseState, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 from coherentpair.wavepacket import SpreadLaw
 
@@ -33,8 +33,6 @@ def test_free_motion_exact():
 def test_time_reversal():
     cfg = make_config(p=0.4, frozen=True)
     fwd = dynamics.integrate(initial_state(cfg), 0.01, 12.0)
-    from coherentpair.meanfield import PhaseState
-
     back_start = PhaseState(fwd.r[-1], -fwd.p[-1], 0.0, cfg)
     back = dynamics.integrate(back_start, 0.01, 12.0)
     r_err = np.linalg.norm(back.r[-1] - fwd.r[0]) / np.linalg.norm(fwd.r[0])
@@ -66,11 +64,66 @@ def test_step_halving_convergence():
 
 
 def test_gradient_modes_agree():
+    # the analytic RHS against an RK4 loop over the central-difference gradients
     cfg = make_config(p=0.4)
-    a = dynamics.integrate(initial_state(cfg), 0.05, 5.0, gradient="analytic")
-    n = dynamics.integrate(initial_state(cfg), 0.05, 5.0, gradient="numeric")
-    assert float(np.max(np.abs(a.r - n.r))) < 1e-6
-    assert float(np.max(np.abs(a.p - n.p))) < 1e-6
+    a = dynamics.integrate(initial_state(cfg), 0.05, 5.0)
+
+    def deriv_numeric(y, t):
+        state = PhaseState(y[:3], y[3:], t, cfg)
+        return np.concatenate([meanfield.grad_p(state), -meanfield.grad_r(state)])
+
+    y = np.concatenate([a.r[0], a.p[0]])
+    ys = [y]
+    t = 0.0
+    for _ in range(a.t.size - 1):
+        y = numerics.rk4_step(y, t, 0.05, deriv_numeric)
+        t += 0.05
+        ys.append(y)
+    n = np.array(ys)
+    assert float(np.max(np.abs(a.r - n[:, :3]))) < 1e-6
+    assert float(np.max(np.abs(a.p - n[:, 3:]))) < 1e-6
+
+
+def per_sample_columns(traj):
+    """Overlap and energy columns by the per-sample loop integrate once ran."""
+    sign = traj.config.symmetry.sign
+    kappa = traj.config.coupling
+    overlap = np.empty_like(traj.t)
+    energy = np.empty((traj.t.size, 6))
+    for i in range(traj.t.size):
+        rho = float(np.dot(traj.r[i], traj.r[i]))
+        pp = float(np.dot(traj.p[i], traj.p[i]))
+        s = float(traj.sigma[i])
+        overlap[i] = pairstate.overlap_from_params(0.25 * rho, pp, s)
+        bd = meanfield.breakdown_from_params(rho, pp, s, sign, kappa)
+        energy[i] = (bd.kinetic_classical, bd.kinetic_uncertainty, bd.kinetic_exchange,
+                     bd.coulomb_direct, bd.coulomb_exchange, bd.total)
+    return overlap, energy
+
+
+@pytest.mark.parametrize("symmetry", list(ExchangeSymmetry), ids=lambda sym: sym.value)
+@pytest.mark.parametrize("frozen", [False, True])
+def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, frozen):
+    calls = []
+    core = meanfield._core
+
+    def counted(*args):
+        calls.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(meanfield, "_core", counted)
+    cfg = make_config(p=0.3, symmetry=symmetry, frozen=frozen)
+    traj = dynamics.integrate(initial_state(cfg), 0.1, 12.0)
+    assert calls == []
+    overlap, energy = per_sample_columns(traj)
+    calls.clear()
+    assert np.array_equal(traj.energy, energy)
+    assert len(calls) == traj.t.size
+    assert traj.energy is traj.energy and len(calls) == traj.t.size
+    assert np.array_equal(traj.overlap, overlap)
+    np.testing.assert_array_equal(traj.sigma, [
+        wavepacket.sigma_t(cfg.packet1, cfg.law, float(t)) for t in traj.t
+    ])
 
 
 def test_traveltime_free_flight():
@@ -133,6 +186,15 @@ def test_classical_traveltime_closed_form(coupling):
         assert abs(got / want - 1.0) <= 1e-10, (p, d0)
 
 
+def test_classical_traveltime_needs_positive_energy():
+    # E = p^2 + k/d0 with v0 = 2 p: exactly 0 at d0 = 10, v0 = 1, k = -2.5
+    with pytest.raises(ValueError, match="E = 0"):
+        dynamics.classical_traveltime(10.0, 1.0, -2.5)
+    with pytest.raises(ValueError, match="E = -0.1875"):
+        dynamics.classical_traveltime(10.0, 0.5, -2.5)
+    assert dynamics.classical_traveltime(10.0, 2.0, -2.5) > 0.0
+
+
 def test_classical_traveltime_monotone():
     # strictly decreasing beyond the shallow-entry peak near v0 ~ 0.6
     # (slower pairs turn around right at d0, so t -> 0 as v0 -> 0)
@@ -182,6 +244,24 @@ def test_sweep_single_point_consistency():
                               5.0 * t_free, stop_at_separation=10.0)
     res = dynamics.traveltime(traj)
     assert abs(rec.t_coherent - res.t_return) < 1e-9
+
+
+def test_sweep_honours_the_template_spread_law():
+    # a non-frozen law slower than the packet's natural rate 1 / (2 sigma^2)
+    law = SpreadLaw(0.2)
+    template = PairConfig(1.0, np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -0.5]),
+                          ExchangeSymmetry.SYMMETRIC, 1.0, law)
+    rec, = dynamics.sweep_traveltime(template, [0.2], horizon_factor=2.5)
+    t_free = dynamics.free_traveltime(10.0, 0.4)
+    cfg = PairConfig(1.0, np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -0.2]),
+                     ExchangeSymmetry.SYMMETRIC, 1.0, law)
+    traj = dynamics.integrate(initial_state(cfg), t_free / 400.0, 2.5 * t_free,
+                              stop_at_separation=10.0)
+    res = dynamics.traveltime(traj)
+    assert (rec.t_coherent, rec.d_min) == (res.t_return, res.d_min)
+    assert rec.regime is dynamics.classify(traj, res)
+    natural, = dynamics.sweep_traveltime(make_config(), [0.2], horizon_factor=2.5)
+    assert (natural.t_coherent, natural.d_min) != (rec.t_coherent, rec.d_min)
 
 
 def test_sweep_error_capture():

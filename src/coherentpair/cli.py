@@ -64,26 +64,30 @@ _nonnegative = _checked(float, "finite non-negative number", lambda v: 0 <= v < 
 _positive_int = _checked(int, "positive integer", lambda v: v > 0)
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--sigma", type=_positive, default=1.0, help="packet width (Bohr)")
-    sub.add_argument(
+def _add_config_flags(sub: argparse.ArgumentParser, *unread: str) -> None:
+    def add(flag: str, **spec) -> None:
+        if flag not in unread:
+            sub.add_argument(flag, **spec)
+
+    add("--sigma", type=_positive, default=1.0, help="packet width (Bohr)")
+    add(
         "--r0", type=_finite, default=5.0,
         help="initial packet-center offset along z; centers sit at +/- r0",
     )
-    sub.add_argument("--px", type=_finite, default=0.0, help="initial relative momentum, x")
-    sub.add_argument("--pz", type=_finite, default=-0.5, help="initial relative momentum, z")
-    sub.add_argument(
+    add("--px", type=_finite, default=0.0, help="initial relative momentum, x")
+    add("--pz", type=_finite, default=-0.5, help="initial relative momentum, z")
+    add(
         "--spin", choices=sorted(_SPIN_TO_SYMMETRY), default="antiparallel",
         help="mutual spin orientation (selects the spatial symmetry)",
     )
-    sub.add_argument("--coupling", type=_finite, default=1.0, help="Coulomb strength e0^2")
-    sub.add_argument("--dt", type=_positive, default=0.01, help="integration step")
-    sub.add_argument("--t-max", type=_positive, default=20.0, help="integration horizon")
-    sub.add_argument(
+    add("--coupling", type=_finite, default=1.0, help="Coulomb strength e0^2")
+    add("--dt", type=_positive, default=0.01, help="integration step")
+    add("--t-max", type=_positive, default=20.0, help="integration horizon")
+    add(
         "--frozen-width", action="store_true",
         help="pin sigma_x(t) = sigma (no spreading)",
     )
-    sub.add_argument("--output", required=True, help="output file path")
+    add("--output", required=True, help="output file path")
 
 
 def _config_from_args(args) -> PairConfig:
@@ -223,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quad.set_defaults(func=_cmd_quadrupole)
 
     p_sweep = sub.add_parser("sweep-traveltime", help="traveltime vs momentum sweep")
-    _add_config_flags(p_sweep)
+    _add_config_flags(p_sweep, "--px", "--pz")
     p_sweep.add_argument("--p-min", type=_finite, required=True)
     p_sweep.add_argument("--p-max", type=_finite, required=True)
     p_sweep.add_argument("--steps", type=_positive_int, required=True)
@@ -232,11 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon-factor", type=_positive, default=50.0,
         help="default horizon as a multiple of the free traveltime",
     )
-    p_sweep.set_defaults(t_max=None, dt=None)
+    # each point sets its momentum; this one only keeps the template valid
+    p_sweep.set_defaults(t_max=None, dt=None, px=0.0, pz=-0.5)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_dens = sub.add_parser("density", help="density grids at selected times")
-    _add_config_flags(p_dens)
+    _add_config_flags(p_dens, "--t-max")
     p_dens.add_argument("--plane", choices=[p.value for p in Plane], default="xz")
     p_dens.add_argument("--extent", type=_positive, default=10.0)
     p_dens.add_argument("--n", type=_positive_int, default=64)

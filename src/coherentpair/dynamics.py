@@ -30,27 +30,16 @@ MAX_STEPS = 10_000_000
 PASSTHROUGH_FRACTION = 0.1
 FROZEN_RATIO = 1.0
 
-ENERGY_COLUMNS = (
-    "kinetic_classical",
-    "kinetic_uncertainty",
-    "kinetic_exchange",
-    "coulomb_direct",
-    "coulomb_exchange",
-    "total",
-)
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Path of one integration run: r, p and the width at every sample time.
 
-    ``overlap`` and ``energy`` (columns as in :data:`ENERGY_COLUMNS`) are
-    derived from the path when first read, then kept.
+    ``overlap`` and ``energy`` are derived from the path when first read,
+    then kept.
     """
 
     config: PairConfig
-    dt: float
-    t_max: float
     t: np.ndarray
     r: np.ndarray
     p: np.ndarray
@@ -80,7 +69,11 @@ class Trajectory:
 
     @cached_property
     def energy(self) -> np.ndarray:
-        """Energy terms at every sample, one row per sample."""
+        """Energy terms at every sample, one row per sample.
+
+        Columns: kinetic_classical, kinetic_uncertainty, kinetic_exchange,
+        coulomb_direct, coulomb_exchange, total.
+        """
         sign = self.config.symmetry.sign
         kappa = self.config.coupling
         rows = []
@@ -106,7 +99,6 @@ class Outcome(enum.Enum):
 class TraveltimeResult:
     outcome: Outcome
     t_return: float | None
-    d_init: float
     d_min: float
 
 
@@ -180,7 +172,7 @@ def integrate(
     tarr = np.array(ts)
     yarr = np.array(ys)
     sarr = np.array([width(sigma, tv) for tv in tarr])
-    return Trajectory(config, dt, t_max, tarr, yarr[:, :3], yarr[:, 3:], sarr)
+    return Trajectory(config, tarr, yarr[:, :3], yarr[:, 3:], sarr)
 
 
 def traveltime(traj: Trajectory) -> TraveltimeResult:
@@ -207,8 +199,8 @@ def traveltime(traj: Trajectory) -> TraveltimeResult:
             prev = float(d[k - 1])
             frac = (d_init - prev) / (dk - prev) if dk > prev else 1.0
             t_ret = float(traj.t[k - 1]) + frac * (float(traj.t[k]) - float(traj.t[k - 1]))
-            return TraveltimeResult(Outcome.RETURN, t_ret, d_init, d_min)
-    return TraveltimeResult(Outcome.NO_RETURN, None, d_init, d_min)
+            return TraveltimeResult(Outcome.RETURN, t_ret, d_min)
+    return TraveltimeResult(Outcome.NO_RETURN, None, d_min)
 
 
 def free_traveltime(d0: float, v0: float) -> float:

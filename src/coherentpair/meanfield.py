@@ -25,11 +25,10 @@ from . import numerics
 from .errors import DegenerateState
 from .numerics import Tolerances, DEFAULT_TOL
 # bench/tracer.py wraps overlap_from_params under this module's name as well
-from .pairstate import PairConfig, overlap_from_params  # noqa: F401
+from .pairstate import _DEGENERATE_EPS, PairConfig, overlap_from_params  # noqa: F401
 from .wavepacket import PacketParams, sigma_t
 
 _SQRT_PI = math.sqrt(math.pi)
-_DEGENERATE_EPS = 1e-12
 
 
 @dataclass(frozen=True, eq=False)

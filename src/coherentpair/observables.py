@@ -19,9 +19,10 @@ import numpy as np
 
 from .errors import DegenerateState, PreconditionViolated
 from .meanfield import PhaseState
-from .pairstate import density_from_params, overlap_from_params
+from .pairstate import _DEGENERATE_EPS, density_from_params, overlap_from_params
 
-_DEGENERATE_EPS = 1e-12
+# share of the leading samples ``detect`` treats as the collision transient
+TRANSIENT_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,6 @@ class R0Estimate:
 
     value: float
     spread: float
-    estimates: tuple[float, float, float]
 
 
 def invert_r0(tensor: QuadrupoleTensor) -> R0Estimate:
@@ -110,7 +110,7 @@ def invert_r0(tensor: QuadrupoleTensor) -> R0Estimate:
     )
     mean = sum(est) / 3.0
     spread = (max(est) - min(est)) / mean if mean > 0 else math.inf
-    return R0Estimate(mean, spread, est)
+    return R0Estimate(mean, spread)
 
 
 def invert_p(tensor: QuadrupoleTensor, sigma: float) -> tuple[float, float]:
@@ -159,7 +159,6 @@ class SeriesVerdict:
 
     kind: SeriesKind
     extrema_count: int
-    transient_fraction: float
 
 
 def quadrupole_timeseries(traj) -> list[tuple[float, QuadrupoleTensor]]:
@@ -172,13 +171,10 @@ def quadrupole_timeseries(traj) -> list[tuple[float, QuadrupoleTensor]]:
     return out
 
 
-def detect(
-    series: Sequence[tuple[float, QuadrupoleTensor]],
-    transient_fraction: float = 0.1,
-) -> SeriesVerdict:
+def detect(series: Sequence[tuple[float, QuadrupoleTensor]]) -> SeriesVerdict:
     """Classify d_zz(t) by counting significant extrema.
 
-    The first ``transient_fraction`` of the samples is discarded; an
+    The first :data:`TRANSIENT_FRACTION` of the samples is discarded; an
     extremum counts only if the excursion on both sides exceeds the noise
     guard 1e-9 * max|d_zz|.  A single residual extremum is treated as part
     of the transient, so only two or more yield OSCILLATORY.
@@ -186,12 +182,12 @@ def detect(
     if not series:
         raise ValueError("empty series")
     dzz = np.array([tensor.d_zz for _, tensor in series])
-    start = int(math.ceil(transient_fraction * dzz.size))
+    start = int(math.ceil(TRANSIENT_FRACTION * dzz.size))
     kept = dzz[start:] if dzz.size - start >= 2 else dzz
     scale = float(np.max(np.abs(kept))) if kept.size else 0.0
     eps = 1e-9 * max(scale, 1e-300)
     if float(np.max(kept) - np.min(kept)) <= eps:
-        return SeriesVerdict(SeriesKind.CONSTANT, 0, transient_fraction)
+        return SeriesVerdict(SeriesKind.CONSTANT, 0)
     extrema = 0
     direction = 0
     anchor = kept[0]
@@ -207,8 +203,8 @@ def detect(
             direction = step
         anchor = v
     if extrema >= 2:
-        return SeriesVerdict(SeriesKind.OSCILLATORY, extrema, transient_fraction)
-    return SeriesVerdict(SeriesKind.MONOTONE_AFTER_TRANSIENT, extrema, transient_fraction)
+        return SeriesVerdict(SeriesKind.OSCILLATORY, extrema)
+    return SeriesVerdict(SeriesKind.MONOTONE_AFTER_TRANSIENT, extrema)
 
 
 class Plane(enum.Enum):

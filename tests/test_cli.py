@@ -60,6 +60,22 @@ def test_bad_flag_value_exits_2_with_one_line(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["sweep-traveltime", "--p-min", "0.2", "--p-max", "0.4", "--steps", "3"], "--px"),
+    (["sweep-traveltime", "--p-min", "0.2", "--p-max", "0.4", "--steps", "3"], "--pz"),
+    (["density", "--times", "1.0"], "--t-max"),
+])
+def test_unread_flag_is_rejected(tmp_path, capsys, args, flag):
+    # a sweep sets every momentum from its grid; density integrates to its last time
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        run(args + [flag, "0.5", "--output", str(out)])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"coherentpair: error: unrecognized arguments: {flag} 0.5"
+    assert not out.exists()
+
+
 def test_runtime_failure_exit_code(tmp_path, capsys):
     # parallel spins at near-coincidence: the pair state degenerates
     out = tmp_path / "deg.csv"
@@ -166,7 +182,7 @@ def test_quadrupole_verdict_on_last_row(tmp_path):
 def test_density_file_layout(tmp_path):
     out = tmp_path / "grid.txt"
     code = run([
-        "density", "--pz", "-0.5", "--dt", "0.05", "--t-max", "1.0",
+        "density", "--pz", "-0.5", "--dt", "0.05",
         "--plane", "xz", "--extent", "8.0", "--n", "16",
         "--times", "0.0", "--output", str(out),
     ])

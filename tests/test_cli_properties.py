@@ -36,6 +36,8 @@ _TEXT = st.one_of(
 def test_numeric_flag_parses_or_exits_2(flag, text):
     if flag in _SWEEP_ONLY:
         argv = ["sweep-traveltime", "--p-min", "0.1", "--p-max", "0.3", "--steps", "2"]
+    elif flag == "--t-max":
+        argv = ["simulate"]
     else:
         argv = ["density", "--times", "1.0"]
     argv += ["--output", "unused.txt", flag + "=" + text]

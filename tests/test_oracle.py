@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from coherentpair import oracle
 from coherentpair.meanfield import PhaseState
@@ -79,12 +80,6 @@ def test_spreading_oracle():
         assert rep.rel_err < 1e-4
 
 
-def test_spreading_oracle_frozen_flag():
-    rep = oracle.oracle_spreading(1.0, frozen=True)
-    assert rep.note.startswith("not-applicable")
-    assert oracle.report_passes(rep)
-
-
 def test_report_small_value_floor():
     rep = oracle.OracleReport("coulomb_exchange", 1e-20, 3e-20, 10)
     assert oracle.report_passes(rep)
@@ -107,3 +102,50 @@ def test_run_validation_small_list(tmp_path):
     assert {"overlap", "coulomb_direct", "coulomb_exchange", "kinetic_classical",
             "kinetic_uncertainty", "kinetic_exchange", "quadrupole_Dxx",
             "quadrupole_Dzz", "spreading_rate"} <= names
+
+
+def _count_coulomb_combos(monkeypatch):
+    calls = []
+    combo = oracle._Engine.coulomb_combo
+
+    def counted(self, key):
+        calls.append(key)
+        return combo(self, key)
+
+    monkeypatch.setattr(oracle._Engine, "coulomb_combo", counted)
+    return calls
+
+
+@pytest.mark.parametrize("symmetry, expected", [
+    (ExchangeSymmetry.SYMMETRIC, 2),
+    (ExchangeSymmetry.ANTISYMMETRIC, 2),
+    (ExchangeSymmetry.DISTINGUISHABLE, 1),
+])
+def test_coulomb_integrates_each_combo_once(monkeypatch, symmetry, expected):
+    calls = _count_coulomb_combos(monkeypatch)
+    cfg = PairConfig(0.9, np.array([0.0, 0.0, 1.2]), np.array([0.2, 0.0, -0.3]), symmetry,
+                     law=SpreadLaw.frozen_width())
+    state = PhaseState(np.array([0.3, 0.0, 2.1]), np.array([0.1, 0.0, -0.4]), 0.0, cfg)
+    reports = oracle.oracle_coulomb(state)
+    # the direct combo and, with exchange, the exchange combo; never a relabelled copy
+    assert calls == [((1, 2), (1, 2)), ((1, 2), (2, 1))][:expected]
+    assert all(oracle.report_passes(rep) for rep in reports)
+
+
+def test_anchor_coulomb_integrates_two_combos(monkeypatch):
+    calls = _count_coulomb_combos(monkeypatch)
+    cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, law=SpreadLaw.frozen_width())
+    state = PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg)
+    eng = oracle._Engine(oracle._PairGeometry.from_state(state))
+    eng.expect_coulomb()
+    assert len(calls) == 2
+
+
+# draw 0 is symmetric, draw 1 antisymmetric
+@pytest.mark.parametrize("seed", [0, 1])
+def test_relative_momentum_vanishes_in_the_symmetrized_state(seed):
+    state = oracle.draw_phase_state(seed)
+    assert state.config.symmetry.sign == (1, -1)[seed]
+    assert np.any(state.p != 0.0)
+    eng = oracle._Engine(oracle._PairGeometry.from_state(state))
+    assert np.all(eng.expect_p_rel() == 0.0)

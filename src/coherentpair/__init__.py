@@ -9,7 +9,6 @@ from .errors import (
     PreconditionViolated,
 )
 from .meanfield import EnergyBreakdown, PhaseState, avg_hamiltonian, initial_state
-from .numerics import Tolerances
 from .pairstate import ExchangeSymmetry, PairConfig, overlap, pair_amplitude
 from .wavepacket import PacketParams, SpreadLaw, kinetic_energy, sigma_t, spreading_rate
 
@@ -26,7 +25,6 @@ __all__ = [
     "PhaseState",
     "PreconditionViolated",
     "SpreadLaw",
-    "Tolerances",
     "avg_hamiltonian",
     "initial_state",
     "kinetic_energy",

@@ -150,6 +150,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("need p-min < p-max (or a single step)")
     if args.p_min <= 0:
         raise ValueError("momenta must be positive")
+    if args.r0 <= 0:
+        raise ValueError("r0 must be positive: every point starts at separation 2 r0")
     config = _config_from_args(args)
     grid = np.linspace(args.p_min, args.p_max, args.steps)
     records = dynamics.sweep_traveltime(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -18,7 +19,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import meanfield, numerics
-from .errors import DegenerateState, MalformedTrajectory, NonFinite
+from .errors import CoherentPairError, MalformedTrajectory
 from .meanfield import PhaseState, breakdown_from_params, _core
 from .pairstate import PairConfig, overlap_from_params
 
@@ -124,10 +125,10 @@ def integrate(
     """RK4 integration with one recorded sample per step.
 
     The right-hand side is the analytic gradient from ``meanfield._core``
-    at the width the config's spread law gives; the tests hold it to the
-    central-difference gradients ``meanfield.grad_r`` and ``grad_p``.  If
-    ``stop_at_separation`` is given, integration ends early once the
-    separation exceeds it after having dipped below (sweep shortcut).
+    at the width the config's spread law gives; the tests hold it to
+    central differences of the energy.  If ``stop_at_separation`` is given,
+    integration ends on the first sample back at or beyond it after having
+    dipped below, the sample on which ``traveltime`` finds the return.
     """
     if dt <= 0 or t_max <= dt:
         raise ValueError("need dt > 0 and t_max > dt")
@@ -163,10 +164,12 @@ def integrate(
         ts.append(t)
         ys.append(y.copy())
         if stop_at_separation is not None:
-            d = float(np.linalg.norm(y[:3]))
+            # the expression Trajectory.separation evaluates, bit for bit
+            rx, ry, rz = y[:3].tolist()
+            d = math.sqrt(rx * rx + ry * ry + rz * rz)
             if d < stop_at_separation:
                 dipped = True
-            elif dipped and d > stop_at_separation * 1.05:
+            elif dipped:
                 break
 
     tarr = np.array(ts)
@@ -213,29 +216,38 @@ def free_traveltime(d0: float, v0: float) -> float:
 def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
     """Return time of the classical Coulomb collision (reduced mass m/2).
 
-    t = 2 int_{d_min}^{d0} dd / sqrt((2/mu)(E - k/d)) with
-    E = mu v0^2 / 2 + k/d0 and turning point d_min = k/E; the square-root
-    endpoint singularity is removed by the substitution d = d_min + u^2,
-    which turns the integrand into 2 sqrt(mu d / (2 E)).  That form needs
-    E > 0; an attractive coupling can make E <= 0, which raises ValueError.
+    t = 2 int dd / sqrt((2/mu)(E - k/d)) over the inbound leg, with
+    E = mu v0^2 / 2 + k/d0.  A repulsive pair (k > 0, so E > 0) turns at
+    d_min = k/E; the substitution d = d_min + u^2 removes the square-root
+    endpoint singularity and turns the integrand into 2 sqrt(mu d / (2 E)).
+    An attractive pair (k < 0) falls through d = 0 at any E, so its leg runs
+    from 0 to d0; d = d0 s^2 turns the integrand into
+    2 d0^3/2 s^2 sqrt(mu / (2 Q)) on [0, 1], with Q = E d0 s^2 - k =
+    a s^2 - k (1 - s^2) and a = mu v0^2 d0 / 2.  Q is a sum of two
+    non-negative terms that never vanish together, so the integrand is smooth.
     """
     if d0 <= 0 or v0 <= 0:
         raise ValueError("d0 and v0 must be positive")
     if coupling == 0.0:
         return free_traveltime(d0, v0)
     mu = 0.5
+    if coupling < 0.0:
+        a = 0.5 * mu * v0 * v0 * d0
+        if not a > 0.0:
+            raise ValueError("mu v0^2 d0 / 2 underflows to 0")
+
+        def through(s: float) -> float:
+            q = a * s * s - coupling * (1.0 - s * s)
+            return 2.0 * s * s * math.sqrt(mu / (2.0 * q))
+
+        return 2.0 * d0 * math.sqrt(d0) * numerics.integrate_1d(through, 0.0, 1.0)
     energy = 0.5 * mu * v0 * v0 + coupling / d0
-    if not energy > 0.0:
-        raise ValueError(f"classical traveltime needs energy E > 0, got E = {energy:.6g}")
     d_min = coupling / energy
 
     def integrand(u: float) -> float:
         # E - k/d = E u^2 / d exactly, since E d_min = k; with dd = 2 u du
         # the factor u cancels instead of vanishing in the difference
-        d = d_min + u * u
-        if d <= 0.0:
-            return 0.0
-        return 2.0 * math.sqrt(mu * d / (2.0 * energy))
+        return 2.0 * math.sqrt(mu * (d_min + u * u) / (2.0 * energy))
 
     u_max = math.sqrt(max(d0 - d_min, 0.0))
     if u_max == 0.0:
@@ -304,7 +316,7 @@ def _sweep_point(
         result = traveltime(traj)
         regime = classify(traj, result)
         return SweepRecord(p_val, result.t_return, t_cl, t_free, regime, result.d_min)
-    except (DegenerateState, NonFinite, MalformedTrajectory, ValueError) as exc:
+    except (CoherentPairError, ValueError) as exc:
         return SweepRecord(p_val, None, math.nan, math.nan, None, None, str(exc))
 
 
@@ -321,13 +333,15 @@ def sweep_traveltime(
     Each point integrates an inward head-on trajectory from the template's
     offset along z (packets at +/- r0) with |p| from the grid; spin, width,
     spread law and coupling come from the template.  Records are returned
-    in grid order regardless of the worker count.
+    in grid order regardless of the worker count, which is ``jobs`` capped
+    at the grid size and the CPU count.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise ValueError("empty momentum grid")
     point = partial(_sweep_point, config, dt, t_max, horizon_factor)
-    if jobs <= 1:
+    workers = min(jobs, len(p_grid), os.cpu_count() or 1)
+    if workers <= 1:
         return [point(p) for p in p_grid]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(point, p_grid))

@@ -10,8 +10,8 @@ reduce to the reduced-mass m/2 Coulomb collision when the width is small.
 Every closed-form term below was derived from Gaussian integrals over the
 pair state and is pinned term-by-term by the quadrature oracles; none of
 them is trusted on its own.  One kernel, ``_core``, gives the energy terms
-and the analytic gradient the dynamics integrates; the central-difference
-gradients ``grad_r`` and ``grad_p`` are the reference the tests hold it to.
+and the analytic gradient the dynamics integrates; the tests hold that
+gradient to central differences of the energy.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ import numpy as np
 
 from . import numerics
 from .errors import DegenerateState
-from .numerics import Tolerances, DEFAULT_TOL
 # bench/tracer.py wraps overlap_from_params under this module's name as well
 from .pairstate import _DEGENERATE_EPS, PairConfig, overlap_from_params  # noqa: F401
-from .wavepacket import PacketParams, sigma_t
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -176,28 +174,6 @@ def avg_hamiltonian(state: PhaseState) -> EnergyBreakdown:
     )
 
 
-def total_energy(state: PhaseState) -> float:
-    return avg_hamiltonian(state).total
-
-
-def grad_r(state: PhaseState, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """dE/dr by central differences, the reference for the analytic gradient."""
-
-    def f(r: np.ndarray) -> float:
-        return total_energy(PhaseState(r, state.p, state.t, state.config))
-
-    return numerics.central_gradient(f, state.r, tol)
-
-
-def grad_p(state: PhaseState, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """dE/dp by central differences, the reference for the analytic gradient."""
-
-    def f(p: np.ndarray) -> float:
-        return total_energy(PhaseState(state.r, p, state.t, state.config))
-
-    return numerics.central_gradient(f, state.p, tol)
-
-
 def coulomb_bound(config: PairConfig, t: float = 0.0) -> float:
     """Max over r of the Coulomb part at fixed p; finite for sigma > 0.
 
@@ -206,7 +182,7 @@ def coulomb_bound(config: PairConfig, t: float = 0.0) -> float:
     """
     if config.coupling == 0.0:
         return 0.0
-    s = sigma_t(PacketParams(config.sigma), config.law, t)
+    s = config.law.width(config.sigma, t)
     pp = float(np.dot(config.p0, config.p0))
     sign = config.symmetry.sign
 

@@ -13,43 +13,18 @@ there is no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import NonConvergence, NonFinite
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Knobs for quadrature and finite differences.
-
-    Attributes
-    ----------
-    abs_tol : float
-        Absolute quadrature tolerance.
-    rel_tol : float
-        Relative quadrature tolerance.
-    fd_step : float
-        Relative step for central differences, must lie in (1e-9, 1e-2).
-    max_quad_nodes : int
-        Evaluation budget for one adaptive integral.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    fd_step: float = 1e-5
-    max_quad_nodes: int = 500_000
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.max_quad_nodes > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if not (1e-9 < self.fd_step < 1e-2):
-            raise ValueError("fd_step must lie in (1e-9, 1e-2)")
-
-
-DEFAULT_TOL = Tolerances()
+# adaptive Simpson: absolute and relative tolerance, and the evaluation
+# budget of one integral
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_QUAD_NODES = 500_000
 
 
 # ---------------------------------------------------------------------------
@@ -140,23 +115,18 @@ def dawson_ratio(x: float) -> tuple[float, float]:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def integrate_1d(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def integrate_1d(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson integral of ``f`` over the finite interval [a, b].
 
     Deterministic: the refinement pattern depends only on the integrand
-    values.  Raises :class:`NonConvergence` once ``tol.max_quad_nodes``
+    values.  Raises :class:`NonConvergence` once ``_MAX_QUAD_NODES``
     evaluations have been spent.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_1d requires finite bounds")
     if a == b:
         return 0.0
-    budget = [tol.max_quad_nodes]
+    budget = [_MAX_QUAD_NODES]
 
     def ev(x: float) -> float:
         if budget[0] <= 0:
@@ -167,10 +137,10 @@ def integrate_1d(
 
     fa, fm, fb = ev(a), ev(0.5 * (a + b)), ev(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adapt(ev, a, b, fa, fm, fb, whole, tol, 60)
+    return _adapt(ev, a, b, fa, fm, fb, whole, 60)
 
 
-def _adapt(ev, a, b, fa, fm, fb, whole, tol, depth):
+def _adapt(ev, a, b, fa, fm, fb, whole, depth):
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -181,11 +151,11 @@ def _adapt(ev, a, b, fa, fm, fb, whole, tol, depth):
     err = better - whole
     if depth <= 0:
         raise NonConvergence("adaptive refinement depth exhausted")
-    if abs(err) <= 15.0 * max(tol.abs_tol, tol.rel_tol * abs(better)):
+    if abs(err) <= 15.0 * max(_ABS_TOL, _REL_TOL * abs(better)):
         return better + err / 15.0
     return (
-        _adapt(ev, a, m, fa, flm, fm, left, tol, depth - 1)
-        + _adapt(ev, m, b, fm, frm, fb, right, tol, depth - 1)
+        _adapt(ev, a, m, fa, flm, fm, left, depth - 1)
+        + _adapt(ev, m, b, fm, frm, fb, right, depth - 1)
     )
 
 
@@ -208,7 +178,7 @@ def _leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# ODE step and derivatives
+# ODE step
 # ---------------------------------------------------------------------------
 
 def rk4_step(
@@ -230,24 +200,3 @@ def rk4_step(
         raise NonFinite("rk4_step produced a non-finite state")
     return out
 
-
-def central_gradient(
-    f: Callable[[np.ndarray], float],
-    x: Sequence[float] | np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Component-wise central differences with step fd_step * max(1, |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = tol.fd_step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp = f(xp)
-        fm = f(xm)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NonFinite("central_gradient sampled a non-finite value")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad

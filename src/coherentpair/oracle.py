@@ -23,7 +23,7 @@ from . import observables
 from .meanfield import PhaseState, avg_hamiltonian
 from .numerics import gauss_legendre
 from .pairstate import ExchangeSymmetry, PairConfig, overlap
-from .wavepacket import PacketParams, SpreadLaw, kinetic_energy, sigma_t, spreading_rate
+from .wavepacket import PacketParams, SpreadLaw, kinetic_energy, spreading_rate
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -85,12 +85,15 @@ def _axis_deriv(s: float, c: float, k: float, x: np.ndarray, order: int) -> np.n
     raise ValueError("derivative order must be 0, 1 or 2")
 
 
+# Gauss-Legendre nodes of every one-axis matrix element
+_AXIS_NODES = 160
+
+
 class _Engine:
     """Caches the per-axis 1D matrix elements of one pair geometry."""
 
-    def __init__(self, geom: _PairGeometry, n_nodes: int = 160):
+    def __init__(self, geom: _PairGeometry):
         self.geom = geom
-        self.n = n_nodes
         self.nodes_used = 0
         self._cache: dict[tuple, complex] = {}
 
@@ -99,7 +102,7 @@ class _Engine:
         _, cb, _ = self.geom.factor(b, ax)
         lo = min(ca, cb) - 12.0 * s
         hi = max(ca, cb) + 12.0 * s
-        return gauss_legendre(self.n, lo, hi)
+        return gauss_legendre(_AXIS_NODES, lo, hi)
 
     def elem(self, a: int, b: int, ax: int, poly: int = 0, deriv: int = 0) -> complex:
         """<phi_a | x^poly d^deriv | phi_b> on one axis."""
@@ -299,7 +302,7 @@ class _Engine:
 
 def oracle_overlap(config: PairConfig, t: float = 0.0) -> OracleReport:
     """3D quadrature of conj(Psi_1) Psi_2 against the closed-form overlap."""
-    s = sigma_t(PacketParams(config.sigma), config.law, t)
+    s = config.law.width(config.sigma, t)
     c = config.r0 + config.p0 * t
     geom = _PairGeometry(s, c, config.p0.copy(), config.symmetry.sign)
     eng = _Engine(geom)
@@ -442,13 +445,26 @@ def _splitmix64(seed: int):
 
 
 def load_seed_lists(path: str | None = None) -> dict[str, list[int]]:
-    """Seed lists committed with the package, or from an explicit file."""
+    """Seed lists committed with the package, or from an explicit file.
+
+    The file holds a JSON object whose families ``overlap``, ``coulomb``,
+    ``kinetic`` and ``moments`` are lists of integers; anything else raises
+    ValueError.
+    """
     if path is None:
         text = resources.files("coherentpair.data").joinpath("seed_lists.json").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    lists = json.loads(text)
+    if not isinstance(lists, dict):
+        raise ValueError("seed list file must hold a JSON object")
+    for family in ("overlap", "coulomb", "kinetic", "moments"):
+        seeds = lists.get(family)
+        # bool is an int subclass, but JSON true/false is no seed
+        if not (isinstance(seeds, list) and all(type(v) is int for v in seeds)):
+            raise ValueError(f"seed family {family!r} must be a list of integers")
+    return lists
 
 
 def draw_pair_config(seed: int) -> tuple[PairConfig, float]:

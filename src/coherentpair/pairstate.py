@@ -80,11 +80,11 @@ class PairConfig:
 
     @property
     def packet1(self) -> PacketParams:
-        return PacketParams(self.sigma, self.r0, self.p0, 0.0)
+        return PacketParams(self.sigma, self.r0, self.p0)
 
     @property
     def packet2(self) -> PacketParams:
-        return PacketParams(self.sigma, -self.r0, -self.p0, 0.0)
+        return PacketParams(self.sigma, -self.r0, -self.p0)
 
 
 def overlap_from_params(offset2: float, p2: float, s: float) -> float:

@@ -1,9 +1,9 @@
 """Single coherent electron in atomic units (hbar = m = 1, e0^2 = 1).
 
 The packet is a minimum-uncertainty Gaussian labelled by its culmination
-width ``sigma``, mean center ``r0``, mean momentum ``p0`` and culmination
-time ``t0``.  Free evolution drifts the center along r0 + p0 (t - t0) and
-grows the width as sigma * sqrt(1 + omega^2 (t - t0)^2).
+width ``sigma``, mean center ``r0`` and mean momentum ``p0``; every packet
+culminates at t = 0.  Free evolution drifts the center along r0 + p0 t and
+grows the width as sigma * sqrt(1 + omega^2 t^2).
 """
 
 from __future__ import annotations
@@ -26,38 +26,32 @@ class PacketParams:
     """One Gaussian coherent electron.
 
     ``sigma`` is the per-axis coordinate uncertainty at culmination (Bohr),
-    ``r0``/``p0`` the mean center and momentum, ``t0`` the culmination time.
+    ``r0``/``p0`` the mean center and momentum at culmination (t = 0).
     """
 
     sigma: float
     r0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     p0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
         object.__setattr__(self, "r0", _vec3(self.r0))
         object.__setattr__(self, "p0", _vec3(self.p0))
-        if not math.isfinite(self.t0):
-            raise ValueError("t0 must be finite")
 
 
 @dataclass(frozen=True)
 class SpreadLaw:
-    """Width evolution: free spreading at rate ``omega``, or frozen width.
+    """Width evolution: free spreading at rate ``omega``.
 
-    ``frozen`` pins sigma_x(t) = sigma for all t and requires omega = 0.
+    ``omega = 0`` is the frozen width: sigma_x(t) = sigma for all finite t.
     """
 
     omega: float
-    frozen: bool = False
 
     def __post_init__(self) -> None:
         if self.omega < 0:
             raise ValueError("omega must be non-negative")
-        if self.frozen and self.omega != 0.0:
-            raise ValueError("frozen law must have omega = 0")
 
     @classmethod
     def for_packet(cls, params: PacketParams) -> "SpreadLaw":
@@ -65,12 +59,10 @@ class SpreadLaw:
 
     @classmethod
     def frozen_width(cls) -> "SpreadLaw":
-        return cls(0.0, frozen=True)
+        return cls(0.0)
 
     def width(self, sigma: float, t: float) -> float:
         """sigma_x at time ``t`` after culmination of a packet of width ``sigma``."""
-        if self.frozen:
-            return sigma
         return sigma * math.sqrt(1.0 + (self.omega * t) ** 2)
 
 
@@ -78,7 +70,7 @@ def spreading_rate(params: PacketParams) -> float:
     """Spreading rate omega = hbar / (2 m sigma^2), a.u.: 1 / (2 sigma^2).
 
     This is the unique rate for which the free-evolution variance obeys
-    sigma_x^2(t) = sigma^2 (1 + omega^2 (t - t0)^2); it is pinned by the
+    sigma_x^2(t) = sigma^2 (1 + omega^2 t^2); it is pinned by the
     grid Fourier evolution oracle in :mod:`coherentpair.oracle`.
     """
     return 0.5 / (params.sigma * params.sigma)
@@ -88,12 +80,12 @@ def sigma_t(params: PacketParams, law: SpreadLaw, t: float) -> float:
     """Width sigma_x(t); equals sigma at culmination and in frozen mode."""
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    return law.width(params.sigma, t - params.t0)
+    return law.width(params.sigma, t)
 
 
 def center(params: PacketParams, t: float) -> np.ndarray:
-    """Drifted packet center r0 + p0 (t - t0) / m."""
-    return params.r0 + params.p0 * (t - params.t0)
+    """Drifted packet center r0 + p0 t / m."""
+    return params.r0 + params.p0 * t
 
 
 def amplitude(params: PacketParams, law: SpreadLaw, r, t: float) -> complex:

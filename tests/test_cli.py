@@ -151,8 +151,9 @@ def test_sweep_single_step(tmp_path):
     assert float(t_coh) > 0
 
 
-def test_sweep_attractive_zero_energy_is_an_error_row(tmp_path, capsys):
-    # E = p^2 + k/d0 = 0.25 - 2.5/10 = 0: no classical traveltime
+def test_sweep_attractive_zero_energy_keeps_every_column(tmp_path, capsys):
+    # E = p^2 + k/d0 = 0.25 - 2.5/10 = 0: the attracted pair passes through and
+    # comes back in (2/3) d0^3/2 / sqrt(|k|) = 40/3
     out = tmp_path / "zero.csv"
     code = run([
         "sweep-traveltime", "--coupling", "-2.5", "--r0", "5", "--p-min", "0.5",
@@ -162,7 +163,24 @@ def test_sweep_attractive_zero_energy_is_an_error_row(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     lines = out.read_text().splitlines()
     assert len(lines) == 2
-    assert lines[1].startswith("0.5,,,,error:") and "E = 0" in lines[1]
+    p, t_coh, t_cl, t_free, regime = lines[1].split(",")
+    assert (p, t_cl, t_free, regime) == ("0.5", "13.3333333333", "20", "passthrough")
+    assert float(t_coh) > 0
+
+
+@pytest.mark.parametrize("r0", ["0", "-5", "-0.0"])
+def test_sweep_rejects_a_non_positive_offset(tmp_path, capsys, monkeypatch, r0):
+    # d0 = 2 r0 <= 0 fits no point; the sweep must not start
+    monkeypatch.setattr(cli.dynamics, "_sweep_point", None)
+    out = tmp_path / "x.csv"
+    code = run([
+        "sweep-traveltime", f"--r0={r0}", "--spin", "parallel", "--p-min", "0.2",
+        "--p-max", "0.4", "--steps", "3", "--output", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid configuration:") and "r0" in err[0]
+    assert not out.exists()
 
 
 def test_quadrupole_verdict_on_last_row(tmp_path):
@@ -254,3 +272,18 @@ def test_validate_small_seed_list(tmp_path, capsys):
     assert code == 0
     assert "PASS overlap" in out
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("content", [
+    "{}",
+    '{"overlap": ["x"], "coulomb": [], "kinetic": [], "moments": []}',
+    "[1, 2]",
+    '{"overlap": [1.5], "coulomb": [], "kinetic": [], "moments": []}',
+], ids=["empty", "string", "array", "float"])
+def test_validate_malformed_seed_list_exits_2(tmp_path, capsys, content):
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(content)
+    code = run(["validate", "--seed-list", str(seeds)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid configuration:")

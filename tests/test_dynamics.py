@@ -1,6 +1,7 @@
 """Tests for trajectory integration, traveltimes and regimes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from coherentpair.errors import MalformedTrajectory
 from coherentpair.meanfield import PhaseState, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 from coherentpair.wavepacket import SpreadLaw
+
+from test_meanfield import grad_p, grad_r
 
 
 def make_config(p=0.5, sigma=1.0, d0=10.0, symmetry=ExchangeSymmetry.SYMMETRIC,
@@ -70,7 +73,7 @@ def test_gradient_modes_agree():
 
     def deriv_numeric(y, t):
         state = PhaseState(y[:3], y[3:], t, cfg)
-        return np.concatenate([meanfield.grad_p(state), -meanfield.grad_r(state)])
+        return np.concatenate([grad_p(state), -grad_r(state)])
 
     y = np.concatenate([a.r[0], a.p[0]])
     ys = [y]
@@ -186,13 +189,44 @@ def test_classical_traveltime_closed_form(coupling):
         assert abs(got / want - 1.0) <= 1e-10, (p, d0)
 
 
-def test_classical_traveltime_needs_positive_energy():
-    # E = p^2 + k/d0 with v0 = 2 p: exactly 0 at d0 = 10, v0 = 1, k = -2.5
-    with pytest.raises(ValueError, match="E = 0"):
-        dynamics.classical_traveltime(10.0, 1.0, -2.5)
-    with pytest.raises(ValueError, match="E = -0.1875"):
-        dynamics.classical_traveltime(10.0, 0.5, -2.5)
-    assert dynamics.classical_traveltime(10.0, 2.0, -2.5) > 0.0
+def attractive_return_time(d0, v0, coupling):
+    """2 int_0^d0 dd / sqrt((2/mu)(E - k/d)) at mu = 1/2 by scipy's quad.
+
+    The attracted pair falls through d = 0 and climbs back to d0; the
+    integrand vanishes like sqrt(d) at d = 0, which quad resolves directly.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    energy = 0.25 * v0 * v0 + coupling / d0
+
+    def f(d):
+        return math.sqrt(d / (4.0 * (energy * d - coupling))) if d > 0.0 else 0.0
+
+    return 2.0 * integrate.quad(f, 0.0, d0, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+
+@pytest.mark.parametrize("coupling", [-2.5, -1.0, -0.3, -0.05])
+def test_classical_traveltime_attractive_against_quad(coupling):
+    # E = p^2 + k/d0 <= 0 included: at k = -2.5 every p below 0.5 / sqrt(d0 / 10)
+    for p in np.linspace(0.05, 2.0, 14):
+        for d0 in np.linspace(2.0, 20.0, 7):
+            got = dynamics.classical_traveltime(d0, 2.0 * p, coupling)
+            want = attractive_return_time(d0, 2.0 * p, coupling)
+            assert abs(got / want - 1.0) <= 1e-9, (p, d0)
+
+
+def test_classical_traveltime_attractive_at_any_energy():
+    # E = 0 at d0 = 10, v0 = 1, k = -2.5: the fall from rest, (2/3) d0^3/2 / sqrt(|k|)
+    assert abs(dynamics.classical_traveltime(10.0, 1.0, -2.5) / (40.0 / 3.0) - 1.0) < 1e-12
+    # E = -0.1875 < 0 and E > 0 both return
+    slow = dynamics.classical_traveltime(10.0, 0.5, -2.5)
+    fast = dynamics.classical_traveltime(10.0, 2.0, -2.5)
+    assert slow > 40.0 / 3.0 > fast > 0.0
+    # the kink the old form put inside the interval: 5.3 % off here, 0 at d0 = 20
+    assert abs(dynamics.classical_traveltime(10.0, 0.4, -0.3) - 35.2081566998) < 1e-9
+    assert abs(dynamics.classical_traveltime(20.0, 0.1, -0.05) - 800.0 / 3.0) < 1e-9
+    # a kinetic term mu v0^2 d0 / 2 that underflows to 0 would divide by 0 at d = d0
+    with pytest.raises(ValueError, match="underflows"):
+        dynamics.classical_traveltime(10.0, 1e-300, -1.0)
 
 
 def test_classical_traveltime_monotone():
@@ -279,6 +313,64 @@ def test_sweep_parallel_matches_serial():
     parallel = dynamics.sweep_traveltime(cfg, grid, jobs=2, horizon_factor=3.0)
     for a, b in zip(serial, parallel):
         assert a == b
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("symmetry", [ExchangeSymmetry.SYMMETRIC, ExchangeSymmetry.ANTISYMMETRIC])
+def test_early_stop_ends_on_the_return_sample(symmetry, frozen):
+    # the sweep's early stop must leave traveltime and classify unchanged; the
+    # oblique start leaves the z axis, where |r| may round either way at d0
+    head_on = [[0.0, 0.0, -p] for p in (0.10, 0.15, 0.20, 0.25, 0.30, 0.5)]
+    for p0 in head_on + [[0.037, 0.011, -0.3]]:
+        cfg = replace(make_config(symmetry=symmetry, frozen=frozen), p0=np.array(p0))
+        p = float(np.linalg.norm(p0))
+        t_free = dynamics.free_traveltime(10.0, 2.0 * p)
+        args = (initial_state(cfg), t_free / 400.0, 2.5 * t_free)
+        full = dynamics.integrate(*args)
+        stopped = dynamics.integrate(*args, stop_at_separation=10.0)
+        res_full = dynamics.traveltime(full)
+        res_stop = dynamics.traveltime(stopped)
+        assert res_stop == res_full, p0
+        assert dynamics.classify(stopped, res_stop) is dynamics.classify(full, res_full)
+        n = stopped.t.size
+        np.testing.assert_array_equal(stopped.r, full.r[:n])
+        d = stopped.separation
+        if res_full.outcome is Outcome.RETURN:
+            # d dips below d0 and the path ends on the first sample back at d0
+            first = int(np.argmax(d < 10.0))
+            assert first > 0 and np.all(d[first:-1] < 10.0) and d[-1] >= 10.0, p0
+            assert n < full.t.size
+        else:
+            assert n == full.t.size
+
+
+def test_sweep_caps_the_worker_count(monkeypatch):
+    # never start a large pool: record the size a fake executor is asked for
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", FakePool)
+    cfg = make_config(p=0.5)
+    grid = [0.3, 0.5, 0.8]
+    serial = dynamics.sweep_traveltime(cfg, grid, horizon_factor=3.0)
+    for cpus in (64, 2, 1, None):
+        monkeypatch.setattr(dynamics.os, "cpu_count", lambda n=cpus: n)
+        records = dynamics.sweep_traveltime(cfg, grid, jobs=10_000, horizon_factor=3.0)
+        assert records == serial
+    # one CPU (or an unknown count) runs in this process without a pool
+    assert started == [3, 2]
 
 
 def test_integrate_step_budget():

@@ -11,7 +11,30 @@ from coherentpair.meanfield import PhaseState, avg_hamiltonian, coulomb_bound, i
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 from coherentpair.wavepacket import SpreadLaw
 
+from test_numerics import central_gradient
+
 SQRT_PI = math.sqrt(math.pi)
+
+
+# Central-difference gradients of the total energy, the reference for the
+# analytic gradient of ``meanfield._core`` (test_dynamics integrates with them).
+
+def total_energy(state):
+    return avg_hamiltonian(state).total
+
+
+def grad_r(state):
+    """dE/dr by central differences."""
+    return central_gradient(
+        lambda r: total_energy(PhaseState(r, state.p, state.t, state.config)), state.r
+    )
+
+
+def grad_p(state):
+    """dE/dp by central differences."""
+    return central_gradient(
+        lambda p: total_energy(PhaseState(state.r, p, state.t, state.config)), state.p
+    )
 
 
 def frozen_config(sigma=1.0, symmetry=ExchangeSymmetry.SYMMETRIC, coupling=1.0,
@@ -40,7 +63,7 @@ def test_symmetry_point_uncoupled():
     bd = avg_hamiltonian(state)
     assert bd.total == bd.kinetic_uncertainty
     assert bd.kinetic_uncertainty == 3.0 / 8.0
-    np.testing.assert_allclose(meanfield.grad_r(state), 0.0, atol=1e-10)
+    np.testing.assert_allclose(grad_r(state), 0.0, atol=1e-10)
 
 
 def test_point_charge_limit():
@@ -62,7 +85,7 @@ def test_grad_p_free_limit():
     cfg = frozen_config(coupling=0.0, r0=np.array([0.0, 0.0, 10.0]))
     p = np.array([0.3, 0.0, -0.8])
     state = PhaseState(np.array([0.0, 0.0, 20.0]), p, 0.0, cfg)
-    np.testing.assert_allclose(meanfield.grad_p(state), 2.0 * p, atol=1e-8)
+    np.testing.assert_allclose(grad_p(state), 2.0 * p, atol=1e-8)
 
 
 def test_analytic_gradients_match_numeric():
@@ -73,9 +96,9 @@ def test_analytic_gradients_match_numeric():
             float(state.r @ state.r), float(state.p @ state.p), state.width,
             state.config.symmetry.sign, state.config.coupling,
         )
-        gr_n = meanfield.grad_r(state)
+        gr_n = grad_r(state)
         gr_a = 2.0 * de_drho * state.r
-        gp_n = meanfield.grad_p(state)
+        gp_n = grad_p(state)
         gp_a = 2.0 * de_dpp * state.p
         for num, ana in ((gr_n, gr_a), (gp_n, gp_a)):
             scale = max(float(np.max(np.abs(num))), 1e-8)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from coherentpair import numerics
-from coherentpair.errors import NonConvergence
-from coherentpair.numerics import Tolerances
+from coherentpair.errors import NonConvergence, NonFinite
 
 
 def erf_taylor(x):
@@ -83,7 +82,7 @@ def test_dawson_ratio_limits():
 # Whole-line, half-line and 3D quadratures built on integrate_1d; the tests
 # use them as references (test_wavepacket imports integrate_real_line).
 
-def integrate_real_line(f, tol=numerics.DEFAULT_TOL, scale=4.0):
+def integrate_real_line(f, scale=4.0):
     """Integral of a decaying integrand over the real line, via x = scale atanh(u).
 
     The integrand must decay faster than the Jacobian grows (Gaussian-family
@@ -96,10 +95,10 @@ def integrate_real_line(f, tol=numerics.DEFAULT_TOL, scale=4.0):
         x = scale * math.atanh(u)
         return f(x) * scale / (1.0 - u * u)
 
-    return numerics.integrate_1d(g, -1.0, 1.0, tol)
+    return numerics.integrate_1d(g, -1.0, 1.0)
 
 
-def integrate_half_line(f, tol=numerics.DEFAULT_TOL, scale=4.0):
+def integrate_half_line(f, scale=4.0):
     """Integral of a decaying integrand over [0, infinity)."""
 
     def g(u):
@@ -108,19 +107,19 @@ def integrate_half_line(f, tol=numerics.DEFAULT_TOL, scale=4.0):
         x = scale * math.atanh(u)
         return f(x) * scale / (1.0 - u * u)
 
-    return numerics.integrate_1d(g, 0.0, 1.0, tol)
+    return numerics.integrate_1d(g, 0.0, 1.0)
 
 
-def integrate_3d_separable(fx, fy, fz, tol=numerics.DEFAULT_TOL, scale=4.0):
+def integrate_3d_separable(fx, fy, fz, scale=4.0):
     """Product integral of an axis-separable integrand over all of space."""
     return (
-        integrate_real_line(fx, tol, scale)
-        * integrate_real_line(fy, tol, scale)
-        * integrate_real_line(fz, tol, scale)
+        integrate_real_line(fx, scale)
+        * integrate_real_line(fy, scale)
+        * integrate_real_line(fz, scale)
     )
 
 
-def integrate_3d_radial(g, tol=numerics.DEFAULT_TOL, scale=4.0):
+def integrate_3d_radial(g, scale=4.0):
     """int_0^inf 4 pi d^2 g(d) dd; a 1/d singularity in ``g`` is harmless."""
 
     def shell(d):
@@ -128,7 +127,7 @@ def integrate_3d_radial(g, tol=numerics.DEFAULT_TOL, scale=4.0):
             return 0.0
         return 4.0 * math.pi * d * d * g(d)
 
-    return integrate_half_line(shell, tol, scale)
+    return integrate_half_line(shell, scale)
 
 
 def test_integrate_unit():
@@ -163,10 +162,10 @@ def test_integrate_3d_radial():
     assert abs(val - 2.0 * math.pi) < 1e-8
 
 
-def test_quadrature_budget_exhaustion():
-    tol = Tolerances(rel_tol=1e-14, abs_tol=1e-300, max_quad_nodes=40)
-    with pytest.raises(NonConvergence):
-        numerics.integrate_1d(lambda x: math.sin(40.0 * x) ** 2, 0.0, 10.0, tol)
+def test_quadrature_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_QUAD_NODES", 40)
+    with pytest.raises(NonConvergence, match="budget"):
+        numerics.integrate_1d(lambda x: math.sin(40.0 * x) ** 2, 0.0, 10.0)
 
 
 def test_quadrature_deterministic():
@@ -214,13 +213,37 @@ def test_rk4_harmonic_oscillator_period():
     assert np.linalg.norm(y - y0) < 1e-9
 
 
+# Central differences, the reference the analytic energy gradient is held to
+# (test_meanfield builds its grad_r / grad_p on this).
+
+FD_STEP = 1e-5
+
+
+def central_gradient(f, x):
+    """Component-wise central differences with step FD_STEP * max(1, |x_i|)."""
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        h = FD_STEP * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fp = f(xp)
+        fm = f(xm)
+        if not (math.isfinite(fp) and math.isfinite(fm)):
+            raise NonFinite("central_gradient sampled a non-finite value")
+        grad[i] = (fp - fm) / (2.0 * h)
+    return grad
+
+
 def test_central_gradient_square():
-    g = numerics.central_gradient(lambda x: float(x[0] ** 2), np.array([1.0]))
+    g = central_gradient(lambda x: float(x[0] ** 2), np.array([1.0]))
     assert abs(g[0] - 2.0) < 1e-6
 
 
 def test_central_gradient_constant():
-    g = numerics.central_gradient(lambda x: 3.5, np.array([0.2, -4.0, 7.0]))
+    g = central_gradient(lambda x: 3.5, np.array([0.2, -4.0, 7.0]))
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
@@ -228,7 +251,7 @@ def test_central_gradient_quadratic_form():
     a = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.3], [0.0, -0.3, 4.0]])
     x = np.array([0.7, -1.1, 2.0])
     f = lambda v: float(v @ a @ v)
-    g = numerics.central_gradient(f, x)
+    g = central_gradient(f, x)
     exact = 2.0 * a @ x
     np.testing.assert_allclose(g, exact, rtol=1e-10, atol=1e-10)
 
@@ -236,12 +259,6 @@ def test_central_gradient_quadratic_form():
 def test_central_gradient_kinetic():
     # p^2 / m with m = 1: gradient 2 p, exact for central differences
     p = np.array([0.4, 0.0, -1.3])
-    g = numerics.central_gradient(lambda v: float(v @ v), p)
+    g = central_gradient(lambda v: float(v @ v), p)
     np.testing.assert_allclose(g, 2.0 * p, rtol=1e-8, atol=1e-10)
 
-
-def test_tolerances_invariants():
-    with pytest.raises(ValueError):
-        Tolerances(fd_step=0.5)
-    with pytest.raises(ValueError):
-        Tolerances(abs_tol=-1.0)

@@ -40,6 +40,21 @@ def test_seed_list_from_file(tmp_path):
     assert lists["overlap"] == [1]
 
 
+@pytest.mark.parametrize("content", [
+    "{}",
+    '{"overlap": ["x"], "coulomb": [], "kinetic": [], "moments": []}',
+    "[1, 2]",
+    '{"overlap": [1.0], "coulomb": [], "kinetic": [], "moments": []}',
+    '{"overlap": [true], "coulomb": [], "kinetic": [], "moments": []}',
+    '{"overlap": 1, "coulomb": [], "kinetic": [], "moments": []}',
+], ids=["empty", "string", "array", "float", "bool", "not-a-list"])
+def test_malformed_seed_list_is_a_value_error(tmp_path, content):
+    path = tmp_path / "seeds.json"
+    path.write_text(content)
+    with pytest.raises(ValueError, match="seed"):
+        oracle.load_seed_lists(str(path))
+
+
 def test_overlap_oracle_identical_packets():
     cfg = PairConfig(1.0)
     rep = oracle.oracle_overlap(cfg, 0.0)

@@ -24,24 +24,28 @@ def test_spreading_rate_value_and_scaling():
 
 
 def test_sigma_t_culmination_and_growth():
-    params = PacketParams(0.8, t0=1.5)
+    # every packet culminates at t = 0, and the width is even in t
+    params = PacketParams(0.8)
     law = SpreadLaw.for_packet(params)
-    assert wavepacket.sigma_t(params, law, 1.5) == 0.8
-    # omega (t - t0) = 1
-    t = 1.5 + 1.0 / law.omega
+    assert wavepacket.sigma_t(params, law, 0.0) == 0.8
+    # omega t = 1
+    t = 1.0 / law.omega
     assert abs(wavepacket.sigma_t(params, law, t) - 0.8 * math.sqrt(2)) < 1e-14
+    assert wavepacket.sigma_t(params, law, -t) == wavepacket.sigma_t(params, law, t)
     # asymptotic linear growth
-    t = 1.5 + 10.0 / law.omega
+    t = 10.0 / law.omega
     assert abs(wavepacket.sigma_t(params, law, t) / (0.8 * 10.0) - 1.0) < 0.01
 
 
 def test_frozen_law():
+    # a frozen width is omega = 0: sigma * sqrt(1 + (0 t)^2) is exactly sigma
     params = PacketParams(0.8)
     law = SpreadLaw.frozen_width()
-    for t in (0.0, 3.0, 100.0):
+    assert law == SpreadLaw(0.0)
+    for t in (0.0, 3.0, -7.5, 100.0, 1e300):
         assert wavepacket.sigma_t(params, law, t) == 0.8
     with pytest.raises(ValueError):
-        SpreadLaw(0.3, frozen=True)
+        SpreadLaw(-0.3)
 
 
 def test_amplitude_norm():

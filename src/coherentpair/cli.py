@@ -176,7 +176,8 @@ def _cmd_density(args) -> int:
     times = sorted(set(args.times))
     state = meanfield.initial_state(config)
     if times[-1] > 0:
-        traj = dynamics.integrate(state, args.dt, times[-1] + args.dt)
+        # at least two steps, so that a time below dt still gives t_max > dt
+        traj = dynamics.integrate(state, args.dt, max(times[-1], args.dt) + args.dt)
     out = Path(args.output)
     # "%.12g" % v writes the same bytes as _fmt(v)
     row_fmt = " ".join(["%.12g"] * args.n) + "\n"

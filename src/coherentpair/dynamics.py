@@ -140,32 +140,31 @@ def integrate(
     sign = config.symmetry.sign
     kappa = config.coupling
 
-    def deriv(y: np.ndarray, t: float) -> np.ndarray:
-        """dy/dt for y = (rx, ry, rz, px, py, pz)."""
-        # Python floats keep the scalar kernel off numpy's scalar types
-        rx, ry, rz, px, py, pz = y.tolist()
+    def deriv(y, t: float) -> tuple[float, ...]:
+        """dy/dt for y = (rx, ry, rz, px, py, pz), Python floats in and out."""
+        rx, ry, rz, px, py, pz = y
         rho = rx * rx + ry * ry + rz * rz
         pp = px * px + py * py + pz * pz
         _, de_drho, de_dpp = _core(rho, pp, width(sigma, t), sign, kappa)
         gr = 2.0 * de_drho
         gp = 2.0 * de_dpp
-        return np.array([gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz])
+        return (gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz)
 
     n_steps = int(round(t_max / dt))
-    y = np.concatenate([initial.r, initial.p]).astype(float)
+    y = tuple(initial.r.tolist() + initial.p.tolist())
 
     ts = [0.0]
-    ys = [y.copy()]
+    ys = [y]
     dipped = False
     t = 0.0
     for _ in range(n_steps):
         y = numerics.rk4_step(y, t, dt, deriv)
         t += dt
         ts.append(t)
-        ys.append(y.copy())
+        ys.append(y)
         if stop_at_separation is not None:
             # the expression Trajectory.separation evaluates, bit for bit
-            rx, ry, rz = y[:3].tolist()
+            rx, ry, rz = y[:3]
             d = math.sqrt(rx * rx + ry * ry + rz * rz)
             if d < stop_at_separation:
                 dipped = True
@@ -174,7 +173,7 @@ def integrate(
 
     tarr = np.array(ts)
     yarr = np.array(ys)
-    sarr = np.array([width(sigma, tv) for tv in tarr])
+    sarr = np.array([width(sigma, tv) for tv in ts])
     return Trajectory(config, tarr, yarr[:, :3], yarr[:, 3:], sarr)
 
 

@@ -174,15 +174,15 @@ def avg_hamiltonian(state: PhaseState) -> EnergyBreakdown:
     )
 
 
-def coulomb_bound(config: PairConfig, t: float = 0.0) -> float:
-    """Max over r of the Coulomb part at fixed p; finite for sigma > 0.
+def coulomb_bound(config: PairConfig) -> float:
+    """Max over r of the Coulomb part at width sigma and p0; finite for sigma > 0.
 
     The Coulomb part depends on r only through |r|, so a scalar scan over
     |r| in [0, 10 sigma] followed by golden-section refinement suffices.
     """
     if config.coupling == 0.0:
         return 0.0
-    s = config.law.width(config.sigma, t)
+    s = config.sigma
     pp = float(np.dot(config.p0, config.p0))
     sign = config.symmetry.sign
 

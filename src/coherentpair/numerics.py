@@ -6,14 +6,16 @@ evaluated by a series for |x| < 0.2, Rybicki's fixed-cost sum for
 0.2 <= |x| <= 8 and an asymptotic expansion beyond; scipy and mpmath serve
 only as references in the tests.  Quadrature is adaptive Simpson with an
 explicit node budget, and the ODE kernel is the classical fourth-order
-Runge-Kutta step.  Identical inputs always produce bit-identical outputs;
+Runge-Kutta step on tuples of Python floats: it skips numpy's per-call
+overhead on small states and rounds every component exactly as the array
+expression would.  Identical inputs always produce bit-identical outputs;
 there is no shared mutable state.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -182,21 +184,30 @@ def _leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def rk4_step(
-    state: np.ndarray,
+    state: Sequence[float],
     t: float,
     dt: float,
-    deriv: Callable[[np.ndarray, float], np.ndarray],
-) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step, local error O(dt^5)."""
+    deriv: Callable[[Sequence[float], float], Sequence[float]],
+) -> tuple[float, ...]:
+    """One classical fourth-order Runge-Kutta step, local error O(dt^5).
+
+    ``deriv(y, t)`` receives and returns sequences of floats.  Each
+    component follows numpy's operation order for the array form
+    y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), so the result matches it bit
+    for bit.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    y = np.asarray(state, dtype=float)
-    k1 = np.asarray(deriv(y, t), dtype=float)
-    k2 = np.asarray(deriv(y + 0.5 * dt * k1, t + 0.5 * dt), dtype=float)
-    k3 = np.asarray(deriv(y + 0.5 * dt * k2, t + 0.5 * dt), dtype=float)
-    k4 = np.asarray(deriv(y + dt * k3, t + dt), dtype=float)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    h = 0.5 * dt
+    k1 = deriv(state, t)
+    k2 = deriv([a + h * b for a, b in zip(state, k1)], t + h)
+    k3 = deriv([a + h * b for a, b in zip(state, k2)], t + h)
+    k4 = deriv([a + dt * b for a, b in zip(state, k3)], t + dt)
+    sixth = dt / 6.0
+    out = tuple([
+        a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)
+    ])
+    if not all(map(math.isfinite, out)):
         raise NonFinite("rk4_step produced a non-finite state")
     return out
-

@@ -228,6 +228,18 @@ def test_density_multiple_times(tmp_path):
     assert first.read_text().splitlines()[0].startswith("# t=10")
 
 
+def test_density_time_below_the_step(tmp_path):
+    # t + dt rounds to dt here; the trajectory must still run past t
+    common = ["density", "--dt", "0.01", "--n", "16", "--output"]
+    tiny, zero = tmp_path / "tiny.txt", tmp_path / "zero.txt"
+    assert run(common + [str(tiny), "--times", "1e-20"]) == 0
+    assert run(common + [str(zero), "--times", "0"]) == 0
+    lines = tiny.read_text().splitlines()
+    assert len(lines) == 17 and lines[0] == "# t=1e-20 extent=10 n=16"
+    # the nearest sample is the initial state
+    assert lines[1:] == zero.read_text().splitlines()[1:]
+
+
 @pytest.mark.parametrize("args", [
     ["simulate", "--t-max", "1e300", "--dt", "0.01"],
     ["density", "--times", "1e300"],

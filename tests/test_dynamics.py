@@ -87,6 +87,76 @@ def test_gradient_modes_agree():
     assert float(np.max(np.abs(a.p - n[:, 3:]))) < 1e-6
 
 
+def rk4_step_arrays(state, t, dt, deriv):
+    """The numpy-array RK4 step ``numerics.rk4_step`` replaced."""
+    y = np.asarray(state, dtype=float)
+    k1 = np.asarray(deriv(y, t), dtype=float)
+    k2 = np.asarray(deriv(y + 0.5 * dt * k1, t + 0.5 * dt), dtype=float)
+    k3 = np.asarray(deriv(y + 0.5 * dt * k2, t + 0.5 * dt), dtype=float)
+    k4 = np.asarray(deriv(y + dt * k3, t + dt), dtype=float)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def integrate_arrays(initial, dt, t_max, stop_at_separation=None):
+    """``integrate`` over numpy arrays: (t, r, p, sigma) of every sample."""
+    config = initial.config
+    sigma, width = config.sigma, config.law.width
+    sign, kappa = config.symmetry.sign, config.coupling
+
+    def deriv(y, t):
+        rx, ry, rz, px, py, pz = y.tolist()
+        rho = rx * rx + ry * ry + rz * rz
+        pp = px * px + py * py + pz * pz
+        _, de_drho, de_dpp = meanfield._core(rho, pp, width(sigma, t), sign, kappa)
+        gr = 2.0 * de_drho
+        gp = 2.0 * de_dpp
+        return np.array([gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz])
+
+    y = np.concatenate([initial.r, initial.p]).astype(float)
+    ts, ys = [0.0], [y.copy()]
+    dipped = False
+    t = 0.0
+    for _ in range(int(round(t_max / dt))):
+        y = rk4_step_arrays(y, t, dt, deriv)
+        t += dt
+        ts.append(t)
+        ys.append(y.copy())
+        if stop_at_separation is not None:
+            rx, ry, rz = y[:3].tolist()
+            d = math.sqrt(rx * rx + ry * ry + rz * rz)
+            if d < stop_at_separation:
+                dipped = True
+            elif dipped:
+                break
+    tarr, yarr = np.array(ts), np.array(ys)
+    sarr = np.array([width(sigma, tv) for tv in tarr])
+    return tarr, yarr[:, :3], yarr[:, 3:], sarr
+
+
+@pytest.mark.parametrize("stop", [False, True], ids=["full", "stop"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["spreading", "frozen"])
+@pytest.mark.parametrize("symmetry", list(ExchangeSymmetry), ids=lambda sym: sym.value)
+def test_integrate_matches_the_array_rk4_bit_for_bit(symmetry, frozen, stop):
+    starts = {
+        "head-on": ([0.0, 0.0, 5.0], [0.0, 0.0, -0.3]),
+        "oblique": ([0.4, -0.3, 5.0], [0.037, 0.011, -0.3]),
+        "signed-zero": ([-0.0, 0.0, 5.0], [0.0, -0.0, -0.3]),
+    }
+    for name, (r0, p0) in starts.items():
+        cfg = replace(make_config(symmetry=symmetry, frozen=frozen),
+                      r0=np.array(r0), p0=np.array(p0))
+        state = initial_state(cfg)
+        t_free = dynamics.free_traveltime(10.0, 0.6)
+        d0 = state.separation if stop else None
+        args = (state, t_free / 200.0, 2.5 * t_free, d0)
+        traj = dynamics.integrate(*args)
+        for got, want in zip((traj.t, traj.r, traj.p, traj.sigma), integrate_arrays(*args)):
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        if stop:  # the return ends the run before its 500 steps
+            assert traj.t.size <= 500, name
+
+
 def per_sample_columns(traj):
     """Overlap and energy columns by the per-sample loop integrate once ran."""
     sign = traj.config.symmetry.sign

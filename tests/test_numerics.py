@@ -200,6 +200,29 @@ def test_rk4_polynomial_time_exactness(degree):
     assert abs(y[0] - exact) < 1e-13 * max(1.0, exact)
 
 
+def test_rk4_returns_a_tuple_of_python_floats():
+    y = numerics.rk4_step((1.0, -2.0), 0.0, 0.1, lambda y, t: (y[1], -y[0]))
+    assert type(y) is tuple and len(y) == 2
+    assert all(type(v) is float for v in y)
+
+
+def test_rk4_rejects_a_non_positive_step():
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            numerics.rk4_step((1.0,), 0.0, dt, lambda y, t: (0.0,))
+
+
+@pytest.mark.parametrize("state, deriv", [
+    ((1.0, 1.0), lambda y, t: (math.inf, 0.0)),
+    ((1.0, 1.0), lambda y, t: (0.0, math.nan)),
+    # finite state and derivatives whose weighted sum overflows to inf
+    ((1e308, 1.0), lambda y, t: y),
+], ids=["inf-derivative", "nan-derivative", "overflow"])
+def test_rk4_non_finite_state_raises(state, deriv):
+    with pytest.raises(NonFinite):
+        numerics.rk4_step(state, 0.0, 0.5, deriv)
+
+
 def test_rk4_harmonic_oscillator_period():
     deriv = lambda y, t: np.array([y[1], -y[0]])
     y0 = np.array([1.0, 0.0])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dynamics, meanfield, observables, oracle
 from .errors import CoherentPairError
-from .observables import Plane, SeriesKind
+from .observables import Plane
 from .pairstate import ExchangeSymmetry, PairConfig
 from .wavepacket import SpreadLaw
 
@@ -32,15 +32,19 @@ _SPIN_TO_SYMMETRY = {
     "distinguishable": ExchangeSymmetry.DISTINGUISHABLE,
 }
 
-_VERDICT_LABEL = {
-    SeriesKind.MONOTONE_AFTER_TRANSIENT: "monotone",
-    SeriesKind.OSCILLATORY: "oscillatory",
-    SeriesKind.CONSTANT: "constant",
-}
-
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
+
+
+def _write_rows(fh, table: np.ndarray, sep: str, end: str = "\n") -> None:
+    """Write every row of a 2-D ``table``, its values joined by ``sep``.
+
+    ``"%.12g" % v`` writes the same bytes as ``_fmt(v)``.
+    """
+    template = sep.join(["%.12g"] * table.shape[1])
+    for row in table.tolist():
+        fh.write(template % tuple(row) + end)
 
 
 def _checked(convert, kind: str, ok):
@@ -110,38 +114,29 @@ def _run_trajectory(args):
 
 def _cmd_simulate(args) -> int:
     traj = _run_trajectory(args)
-    series = observables.quadrupole_timeseries(traj)
-    lines = [SIMULATE_HEADER]
-    for i in range(traj.t.size):
-        tensor = series[i][1]
-        row = [
-            traj.t[i],
-            traj.r[i, 0], traj.r[i, 1], traj.r[i, 2],
-            traj.p[i, 0], traj.p[i, 1], traj.p[i, 2],
-            traj.sigma[i],
-            traj.overlap[i],
-            traj.energy[i, 5],
-            traj.energy[i, 3] + traj.energy[i, 4],
-            tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz,
-        ]
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    tensor = observables.quadrupole_timeseries(traj)
+    energy = traj.energy
+    table = np.column_stack((
+        traj.t, traj.r, traj.p, traj.sigma, traj.overlap,
+        energy[:, 5], energy[:, 3] + energy[:, 4],
+        tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz,
+    ))
+    with Path(args.output).open("w") as fh:
+        fh.write(SIMULATE_HEADER + "\n")
+        _write_rows(fh, table, ",")
     return 0
 
 
 def _cmd_quadrupole(args) -> int:
     traj = _run_trajectory(args)
-    series = observables.quadrupole_timeseries(traj)
-    verdict = observables.detect(series)
-    lines = [QUADRUPOLE_HEADER]
-    last = len(series) - 1
-    for i, (t, tensor) in enumerate(series):
-        label = _VERDICT_LABEL[verdict.kind] if i == last else ""
-        lines.append(
-            ",".join(_fmt(v) for v in (t, tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz))
-            + f",{label}"
-        )
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    tensor = observables.quadrupole_timeseries(traj)
+    verdict = observables.detect(tensor)
+    table = np.column_stack((traj.t, tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz))
+    with Path(args.output).open("w") as fh:
+        fh.write(QUADRUPOLE_HEADER + "\n")
+        # the verdict column is empty except on the last row
+        _write_rows(fh, table[:-1], ",", ",\n")
+        _write_rows(fh, table[-1:], ",", f",{verdict.kind.value}\n")
     return 0
 
 
@@ -179,8 +174,6 @@ def _cmd_density(args) -> int:
         # at least two steps, so that a time below dt still gives t_max > dt
         traj = dynamics.integrate(state, args.dt, max(times[-1], args.dt) + args.dt)
     out = Path(args.output)
-    # "%.12g" % v writes the same bytes as _fmt(v)
-    row_fmt = " ".join(["%.12g"] * args.n) + "\n"
     for idx, t in enumerate(times):
         if t == 0.0:
             snap = state
@@ -194,8 +187,7 @@ def _cmd_density(args) -> int:
             path = out.with_name(f"{out.stem}_{idx:03d}{out.suffix}")
         with path.open("w") as fh:
             fh.write(f"# t={_fmt(t)} extent={_fmt(args.extent)} n={args.n}\n")
-            for row in grid:
-                fh.write(row_fmt % tuple(row.tolist()))
+            _write_rows(fh, grid, " ")
     return 0
 
 
@@ -266,7 +258,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except CoherentPairError as exc:
+    except (CoherentPairError, ArithmeticError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
 

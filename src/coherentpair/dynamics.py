@@ -19,7 +19,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import meanfield, numerics
-from .errors import CoherentPairError, MalformedTrajectory
+from .errors import CoherentPairError, MalformedTrajectory, NonFinite
 from .meanfield import PhaseState, breakdown_from_params, _core
 from .pairstate import PairConfig, overlap_from_params
 
@@ -54,19 +54,9 @@ class Trajectory:
         return PhaseState(self.r[i], self.p[i], float(self.t[i]), self.config)
 
     @cached_property
-    def _invariants(self) -> list[tuple[float, float, float]]:
-        """(|r|^2, |p|^2, sigma_x) of every sample as Python floats."""
-        return [
-            (float(np.dot(r, r)), float(np.dot(p, p)), s)
-            for r, p, s in zip(self.r, self.p, self.sigma.tolist())
-        ]
-
-    @cached_property
     def overlap(self) -> np.ndarray:
         """Packet overlap N at every sample."""
-        return np.array(
-            [overlap_from_params(0.25 * rho, pp, s) for rho, pp, s in self._invariants]
-        )
+        return overlap_from_params(0.25 * _squares(self.r), _squares(self.p), self.sigma)
 
     @cached_property
     def energy(self) -> np.ndarray:
@@ -78,17 +68,17 @@ class Trajectory:
         sign = self.config.symmetry.sign
         kappa = self.config.coupling
         rows = []
-        for rho, pp, s in self._invariants:
+        columns = zip(_squares(self.r).tolist(), _squares(self.p).tolist(), self.sigma.tolist())
+        for rho, pp, s in columns:
             bd = breakdown_from_params(rho, pp, s, sign, kappa)
-            rows.append((
-                bd.kinetic_classical,
-                bd.kinetic_uncertainty,
-                bd.kinetic_exchange,
-                bd.coulomb_direct,
-                bd.coulomb_exchange,
-                bd.total,
-            ))
+            rows.append((bd.kinetic_classical, bd.kinetic_uncertainty, bd.kinetic_exchange,
+                         bd.coulomb_direct, bd.coulomb_exchange, bd.total))
         return np.array(rows)
+
+
+def _squares(v: np.ndarray) -> np.ndarray:
+    """Squared norm of every row of an (n, 3) array, summed as the RHS sums it."""
+    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
 
 
 class Outcome(enum.Enum):
@@ -157,23 +147,29 @@ def integrate(
     ys = [y]
     dipped = False
     t = 0.0
-    for _ in range(n_steps):
-        y = numerics.rk4_step(y, t, dt, deriv)
-        t += dt
-        ts.append(t)
-        ys.append(y)
-        if stop_at_separation is not None:
-            # the expression Trajectory.separation evaluates, bit for bit
-            rx, ry, rz = y[:3]
-            d = math.sqrt(rx * rx + ry * ry + rz * rz)
-            if d < stop_at_separation:
-                dipped = True
-            elif dipped:
-                break
+    try:
+        for _ in range(n_steps):
+            y = numerics.rk4_step(y, t, dt, deriv)
+            t += dt
+            ts.append(t)
+            ys.append(y)
+            if stop_at_separation is not None:
+                # the expression Trajectory.separation evaluates, bit for bit
+                rx, ry, rz = y[:3]
+                d = math.sqrt(rx * rx + ry * ry + rz * rz)
+                if d < stop_at_separation:
+                    dipped = True
+                elif dipped:
+                    break
+        sarr = np.array([width(sigma, tv) for tv in ts])
+    except ArithmeticError as exc:
+        # a width or energy term left the float range: huge t, tiny or huge sigma
+        raise NonFinite(
+            f"the RK4 step from t={t:.6g} left the float range ({type(exc).__name__})"
+        ) from exc
 
     tarr = np.array(ts)
     yarr = np.array(ys)
-    sarr = np.array([width(sigma, tv) for tv in ts])
     return Trajectory(config, tarr, yarr[:, :3], yarr[:, 3:], sarr)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +26,10 @@ TRANSIENT_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class QuadrupoleTensor:
-    """Symmetric traceless second-moment tensor for an in-plane pair."""
+    """Symmetric traceless second-moment tensor for an in-plane pair.
+
+    The entries are floats for one state and (n,) arrays for a series.
+    """
 
     d_xx: float
     d_yy: float
@@ -40,23 +42,28 @@ class QuadrupoleTensor:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(
-            self.d_xx ** 2 + self.d_yy ** 2 + self.d_zz ** 2 + 2.0 * self.d_xz ** 2
-        )
+        return np.sqrt(self.d_xx ** 2 + self.d_yy ** 2 + self.d_zz ** 2 + 2.0 * self.d_xz ** 2)
 
 
-def tensor_from_params(c, p, s: float, sign: int) -> QuadrupoleTensor:
+def tensor_from_params(c, p, s, sign: int) -> QuadrupoleTensor:
     """Closed-form tensor for packets at +/- c with momenta +/- p, width s.
 
     Second moments of the two-electron density:
     M_ab = [2 c_a c_b + 2 s^2 d_ab +/- 2 N^2 (s^2 d_ab - 4 s^4 p_a p_b)]
            / (1 +/- N^2),
     from which the diagonal is 3 M_aa - tr M and the off-diagonal is M_xz.
+    ``c`` and ``p`` have shape (3,) with a float ``s``, giving float
+    entries, or shape (n, 3) with n widths, giving (n,) arrays; every
+    sample must lie in the x-z plane.
     """
-    c = np.asarray(c, dtype=float).reshape(3)
-    p = np.asarray(p, dtype=float).reshape(3)
-    if abs(c[1]) > 1e-12 * (1.0 + np.linalg.norm(c)) or abs(p[1]) > 1e-12 * (
-        1.0 + np.linalg.norm(p)
+    c = np.asarray(c, dtype=float)
+    p = np.asarray(p, dtype=float)
+    cx, cy, cz = c[..., 0], c[..., 1], c[..., 2]
+    px, py, pz = p[..., 0], p[..., 1], p[..., 2]
+    c2 = cx * cx + cy * cy + cz * cz
+    p2 = px * px + py * py + pz * pz
+    if np.any(np.abs(cy) > 1e-12 * (1.0 + np.sqrt(c2))) or np.any(
+        np.abs(py) > 1e-12 * (1.0 + np.sqrt(p2))
     ):
         raise PreconditionViolated("configuration must lie in the x-z plane")
     s2 = s * s
@@ -64,19 +71,19 @@ def tensor_from_params(c, p, s: float, sign: int) -> QuadrupoleTensor:
         g = 0.0
         den = 1.0
     else:
-        n = overlap_from_params(float(np.dot(c, c)), float(np.dot(p, p)), s)
+        n = overlap_from_params(c2, p2, s)
         g = sign * n * n
         den = 1.0 + g
-        if den <= _DEGENERATE_EPS:
+        if np.any(den <= _DEGENERATE_EPS):
             raise DegenerateState("quadrupole tensor undefined at N -> 1")
-    c2 = float(np.dot(c, c))
-    p2 = float(np.dot(p, p))
-
-    def diag(ax: int) -> float:
-        return (6.0 * c[ax] ** 2 - 2.0 * c2 + 8.0 * s2 * s2 * g * (p2 - 3.0 * p[ax] ** 2)) / den
-
-    d_xz = (2.0 * c[0] * c[2] - 8.0 * s2 * s2 * g * p[0] * p[2]) / den
-    return QuadrupoleTensor(diag(0), diag(1), diag(2), d_xz)
+    w = 8.0 * s2 * s2 * g
+    entries = (
+        (6.0 * cx ** 2 - 2.0 * c2 + w * (p2 - 3.0 * px ** 2)) / den,
+        (6.0 * cy ** 2 - 2.0 * c2 + w * (p2 - 3.0 * py ** 2)) / den,
+        (6.0 * cz ** 2 - 2.0 * c2 + w * (p2 - 3.0 * pz ** 2)) / den,
+        (2.0 * cx * cz - w * px * pz) / den,
+    )
+    return QuadrupoleTensor(*(float(e) if np.ndim(e) == 0 else e for e in entries))
 
 
 def quadrupole_tensor(state: PhaseState) -> QuadrupoleTensor:
@@ -161,27 +168,22 @@ class SeriesVerdict:
     extrema_count: int
 
 
-def quadrupole_timeseries(traj) -> list[tuple[float, QuadrupoleTensor]]:
+def quadrupole_timeseries(traj) -> QuadrupoleTensor:
     """Tensor at every trajectory sample from the instantaneous (r, p, s)."""
-    sign = traj.config.symmetry.sign
-    out = []
-    for i in range(traj.t.size):
-        tensor = tensor_from_params(0.5 * traj.r[i], traj.p[i], float(traj.sigma[i]), sign)
-        out.append((float(traj.t[i]), tensor))
-    return out
+    return tensor_from_params(0.5 * traj.r, traj.p, traj.sigma, traj.config.symmetry.sign)
 
 
-def detect(series: Sequence[tuple[float, QuadrupoleTensor]]) -> SeriesVerdict:
-    """Classify d_zz(t) by counting significant extrema.
+def detect(series: QuadrupoleTensor) -> SeriesVerdict:
+    """Classify the d_zz(t) of an array-valued tensor by counting extrema.
 
     The first :data:`TRANSIENT_FRACTION` of the samples is discarded; an
     extremum counts only if the excursion on both sides exceeds the noise
     guard 1e-9 * max|d_zz|.  A single residual extremum is treated as part
     of the transient, so only two or more yield OSCILLATORY.
     """
-    if not series:
+    dzz = np.asarray(series.d_zz, dtype=float)
+    if dzz.size == 0:
         raise ValueError("empty series")
-    dzz = np.array([tensor.d_zz for _, tensor in series])
     start = int(math.ceil(TRANSIENT_FRACTION * dzz.size))
     kept = dzz[start:] if dzz.size - start >= 2 else dzz
     scale = float(np.max(np.abs(kept))) if kept.size else 0.0

@@ -59,8 +59,7 @@ class PairConfig:
     law: SpreadLaw | None = None
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
+        packet = PacketParams(self.sigma)  # checks sigma
         r0 = np.asarray(self.r0, dtype=float).reshape(3)
         p0 = np.asarray(self.p0, dtype=float).reshape(3)
         if not (np.all(np.isfinite(r0)) and np.all(np.isfinite(p0))):
@@ -68,9 +67,7 @@ class PairConfig:
         object.__setattr__(self, "r0", r0)
         object.__setattr__(self, "p0", p0)
         if self.law is None:
-            object.__setattr__(
-                self, "law", SpreadLaw.for_packet(PacketParams(self.sigma))
-            )
+            object.__setattr__(self, "law", SpreadLaw.for_packet(packet))
         if self.symmetry is ExchangeSymmetry.ANTISYMMETRIC and not (
             np.any(r0 != 0.0) or np.any(p0 != 0.0)
         ):
@@ -87,15 +84,17 @@ class PairConfig:
         return PacketParams(self.sigma, -self.r0, -self.p0)
 
 
-def overlap_from_params(offset2: float, p2: float, s: float) -> float:
+def overlap_from_params(offset2, p2, s) -> float | np.ndarray:
     """|<Psi_1|Psi_2>| for mirrored packets.
 
     ``offset2`` is the squared center offset |c|^2 of packet 1 (packet 2
-    sits at -c), ``p2`` the squared momentum, ``s`` the current width.
+    sits at -c), ``p2`` the squared momentum, ``s`` the current width:
+    floats, giving a float, or arrays of one shape, giving an array.
     Closed form exp(-|c|^2/(2 s^2) - 2 s^2 p^2), pinned by the 3D
     quadrature oracle.
     """
-    return math.exp(-offset2 / (2.0 * s * s) - 2.0 * s * s * p2)
+    out = np.exp(-offset2 / (2.0 * s * s) - 2.0 * s * s * p2)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def overlap(config: PairConfig, t: float = 0.0) -> float:

@@ -9,6 +9,7 @@ grows the width as sigma * sqrt(1 + omega^2 t^2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,9 @@ class PacketParams:
     p0: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be positive and finite")
+        # sigma^2 divides the spreading rate and every Gaussian exponent
+        if not (self.sigma > 0 and sys.float_info.min <= self.sigma * self.sigma < math.inf):
+            raise ValueError("sigma must be positive, with a normal finite square")
         object.__setattr__(self, "r0", _vec3(self.r0))
         object.__setattr__(self, "p0", _vec3(self.p0))
 

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from coherentpair import cli, observables
+from coherentpair import cli, dynamics, observables
 
 
 def run(args):
@@ -255,6 +255,39 @@ def test_huge_horizon_exits_2_before_stepping(tmp_path, capsys, args):
     assert not out.exists()
 
 
+_SWEEP = ["sweep-traveltime", "--p-min", "0.2", "--p-max", "0.4", "--steps", "2"]
+
+
+@pytest.mark.parametrize("args, code, prefix", [
+    # sigma^2 underflows to 0 or overflows to inf: rejected with the configuration
+    (["simulate", "--sigma", "1e-200"], 2, "invalid configuration:"),
+    (["density", "--sigma", "1e-200", "--times", "1"], 2, "invalid configuration:"),
+    (_SWEEP + ["--sigma", "1e-200"], 2, "invalid configuration:"),
+    (["simulate", "--sigma", "1e200"], 2, "invalid configuration:"),
+    # the width (omega t)^2 overflows on the first step
+    (["simulate", "--t-max", "1e300", "--dt", "1e294"], 3, "runtime failure:"),
+    (["density", "--times", "1e300", "--dt", "1e294"], 3, "runtime failure:"),
+    # no stepping: the density normalisation (2 pi sigma^2)^-1.5 overflows
+    (["density", "--sigma", "1e-150", "--times", "0"], 3, "runtime failure:"),
+])
+def test_extreme_finite_input_fails_with_one_line(tmp_path, capsys, args, code, prefix):
+    out = tmp_path / "x.out"
+    assert run(args + ["--output", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)
+    assert not out.exists()
+
+
+def test_sweep_point_with_overflowing_width_is_an_error_row(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run(_SWEEP + ["--t-max", "1e300", "--dt", "1e294", "--output", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.2", "0.4"]
+    for row in rows:
+        assert row.split(",")[1:4] == ["", "", ""]
+        assert row.split(",")[4].startswith("error:") and "float range" in row
+
+
 def test_density_rows_match_per_cell_format(tmp_path, monkeypatch):
     n = 16
     tiny = np.finfo(float).tiny
@@ -267,6 +300,71 @@ def test_density_rows_match_per_cell_format(tmp_path, monkeypatch):
     assert code == 0
     rows = out.read_text().split("\n")[1:-1]
     assert rows == [" ".join(cli._fmt(v) for v in row) for row in grid]
+
+
+# values whose "%.12g" and format(v, ".12g") spellings are worth comparing
+_AWKWARD = [0.0, -0.0, np.finfo(float).tiny, 5e-324, 1.0 / 3.0, 123456789012.5,
+            1e300, np.finfo(float).max, 1e-5, 0.1, 1e12, 1e11]
+
+
+def _capture_run(monkeypatch):
+    """Record the trajectory a command integrates and give its tensor awkward values."""
+    seen = {}
+    integrate = dynamics.integrate
+
+    def recording(*args, **kwargs):
+        seen["traj"] = integrate(*args, **kwargs)
+        return seen["traj"]
+
+    def awkward_series(traj):
+        n = traj.t.size
+        columns = [np.resize(np.roll(_AWKWARD, k), n) for k in range(4)]
+        seen["tensor"] = observables.QuadrupoleTensor(*columns)
+        return seen["tensor"]
+
+    monkeypatch.setattr(dynamics, "integrate", recording)
+    monkeypatch.setattr(observables, "quadrupole_timeseries", awkward_series)
+    return seen
+
+
+def test_simulate_rows_match_per_value_format(tmp_path, monkeypatch):
+    seen = _capture_run(monkeypatch)
+    out = tmp_path / "sim.csv"
+    code = run(["simulate", "--px", "-0.0", "--pz", "-0.3", "--dt", "0.1", "--t-max", "2",
+                "--output", str(out)])
+    assert code == 0
+    traj, tensor = seen["traj"], seen["tensor"]
+    lines = out.read_text().split("\n")
+    assert lines[0] == cli.SIMULATE_HEADER and lines[-1] == ""
+    rows = lines[1:-1]
+    assert len(rows) == traj.t.size
+    for i, row in enumerate(rows):
+        values = [traj.t[i], *traj.r[i], *traj.p[i], traj.sigma[i], traj.overlap[i],
+                  traj.energy[i, 5], traj.energy[i, 3] + traj.energy[i, 4],
+                  tensor.d_xx[i], tensor.d_yy[i], tensor.d_zz[i], tensor.d_xz[i]]
+        assert row == ",".join(cli._fmt(float(v)) for v in values)
+    assert rows[0].split(",")[4] == "-0"
+
+
+def test_quadrupole_rows_match_per_value_format(tmp_path, monkeypatch):
+    seen = _capture_run(monkeypatch)
+    verdict = observables.SeriesVerdict(observables.SeriesKind.OSCILLATORY, 2)
+    monkeypatch.setattr(observables, "detect", lambda series: verdict)
+    out = tmp_path / "quad.csv"
+    code = run(["quadrupole", "--px", "-0.0", "--dt", "0.1", "--t-max", "2",
+                "--output", str(out)])
+    assert code == 0
+    traj, tensor = seen["traj"], seen["tensor"]
+    lines = out.read_text().split("\n")
+    assert lines[0] == cli.QUADRUPOLE_HEADER and lines[-1] == ""
+    rows = lines[1:-1]
+    assert len(rows) == traj.t.size
+    for i, row in enumerate(rows):
+        values = [traj.t[i], tensor.d_xx[i], tensor.d_yy[i], tensor.d_zz[i], tensor.d_xz[i]]
+        label = "oscillatory" if i == len(rows) - 1 else ""
+        assert row == ",".join(cli._fmt(float(v)) for v in values) + "," + label
+    assert all(row.endswith(",") for row in rows[:-1])
+    assert rows[1].split(",")[1] == "-0"  # d_xx = -0.0 on the second sample
 
 
 def test_validate_small_seed_list(tmp_path, capsys):

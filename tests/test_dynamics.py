@@ -8,7 +8,7 @@ import pytest
 
 from coherentpair import dynamics, meanfield, numerics, pairstate, wavepacket
 from coherentpair.dynamics import Outcome, Regime
-from coherentpair.errors import MalformedTrajectory
+from coherentpair.errors import MalformedTrajectory, NonFinite
 from coherentpair.meanfield import PhaseState, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 from coherentpair.wavepacket import SpreadLaw
@@ -451,6 +451,15 @@ def test_integrate_step_budget():
         dynamics.integrate(initial_state(cfg), 1e-300, 1e300)  # t_max / dt = inf
     with pytest.raises(ValueError, match="budget"):
         dynamics.integrate(initial_state(cfg), 1.0, dynamics.MAX_STEPS + 1.0)
+
+
+def test_integrate_beyond_the_float_range_raises_non_finite():
+    # within the step budget, but (omega t)^2 overflows on the first step
+    with pytest.raises(NonFinite, match="float range"):
+        dynamics.integrate(initial_state(make_config(p=0.5)), 1e294, 1e300)
+    # a tiny width overflows the energy kernel at t = 0
+    with pytest.raises(NonFinite, match="float range"):
+        dynamics.integrate(initial_state(make_config(sigma=1e-150)), 0.01, 0.1)
 
 
 def test_sweep_huge_horizon_is_an_error_record():

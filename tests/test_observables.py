@@ -21,7 +21,12 @@ from coherentpair.observables import (
     quadrupole_timeseries,
     tensor_from_params,
 )
-from coherentpair.pairstate import ExchangeSymmetry, PairConfig, density_from_params
+from coherentpair.pairstate import (
+    ExchangeSymmetry,
+    PairConfig,
+    density_from_params,
+    overlap_from_params,
+)
 from coherentpair.wavepacket import SpreadLaw
 
 
@@ -141,25 +146,117 @@ def test_directional_reconstruction():
         assert abs(got - want) <= 1e-10 * max(tensor.norm, 1.0)
 
 
+def tensor_per_point(c, p, s, sign):
+    """The tensor one sample at a time, as the per-sample observables computed it."""
+    c = np.asarray(c, dtype=float).reshape(3)
+    p = np.asarray(p, dtype=float).reshape(3)
+    if abs(c[1]) > 1e-12 * (1.0 + np.linalg.norm(c)) or abs(p[1]) > 1e-12 * (
+        1.0 + np.linalg.norm(p)
+    ):
+        raise PreconditionViolated("configuration must lie in the x-z plane")
+    s2 = s * s
+    if sign == 0:
+        g = 0.0
+        den = 1.0
+    else:
+        n = overlap_from_params(float(np.dot(c, c)), float(np.dot(p, p)), s)
+        g = sign * n * n
+        den = 1.0 + g
+        if den <= 1e-12:
+            raise DegenerateState("quadrupole tensor undefined at N -> 1")
+    c2 = float(np.dot(c, c))
+    p2 = float(np.dot(p, p))
+
+    def diag(ax):
+        return (6.0 * c[ax] ** 2 - 2.0 * c2 + 8.0 * s2 * s2 * g * (p2 - 3.0 * p[ax] ** 2)) / den
+
+    d_xz = (2.0 * c[0] * c[2] - 8.0 * s2 * s2 * g * p[0] * p[2]) / den
+    return observables.QuadrupoleTensor(diag(0), diag(1), diag(2), d_xz)
+
+
+@pytest.mark.parametrize("symmetry", list(ExchangeSymmetry), ids=lambda sym: sym.value)
+@pytest.mark.parametrize("frozen", [False, True], ids=["spreading", "frozen"])
+@pytest.mark.parametrize("px", [0.0, 0.2, -0.0], ids=["head-on", "oblique", "minus-zero"])
+def test_array_tensor_matches_per_point(symmetry, frozen, px):
+    law = SpreadLaw.frozen_width() if frozen else None
+    cfg = PairConfig(1.0, np.array([0.0, 0.0, 2.5]), np.array([px, 0.0, -0.4]),
+                     symmetry, 1.0, law)
+    traj = dynamics.integrate(initial_state(cfg), 0.05, 10.0)
+    series = quadrupole_timeseries(traj)
+    fields = ("d_xx", "d_yy", "d_zz", "d_xz")
+    want = {f: np.empty(traj.t.size) for f in fields}
+    for i in range(traj.t.size):
+        point = tensor_per_point(0.5 * traj.r[i], traj.p[i], float(traj.sigma[i]), symmetry.sign)
+        for f in fields:
+            want[f][i] = getattr(point, f)
+    norm = np.maximum(series.norm, 1.0)
+    for f in fields:
+        got = getattr(series, f)
+        assert got.shape == traj.t.shape
+        if px == 0.0:  # head-on, including a -0.0 start
+            assert np.array_equal(got, want[f]), f
+            assert np.array_equal(np.signbit(got), np.signbit(want[f])), f
+        else:
+            assert np.all(np.abs(got - want[f]) <= 1e-14 * norm), f
+
+
+def test_tensor_of_one_state_has_float_entries():
+    tensor = tensor_from_params([0.1, 0.0, 0.9], [0.3, 0.0, -0.2], 1.2, 1)
+    point = tensor_per_point([0.1, 0.0, 0.9], [0.3, 0.0, -0.2], 1.2, 1)
+    for f in ("d_xx", "d_yy", "d_zz", "d_xz"):
+        assert type(getattr(tensor, f)) is float
+        assert abs(getattr(tensor, f) - getattr(point, f)) <= 1e-14 * max(point.norm, 1.0)
+
+
+def test_array_tensor_checks_every_sample():
+    c = np.tile([0.0, 0.0, 1.5], (5, 1))
+    p = np.tile([0.1, 0.0, -0.3], (5, 1))
+    s = np.ones(5)
+    for sign in (1, 0, -1):
+        tensor_from_params(c, p, s, sign)
+    off_plane = c.copy()
+    off_plane[3, 1] = 1e-3
+    with pytest.raises(PreconditionViolated):
+        tensor_from_params(off_plane, p, s, 1)
+    off_plane_p = p.copy()
+    off_plane_p[2, 1] = 1e-3
+    with pytest.raises(PreconditionViolated):
+        tensor_from_params(c, off_plane_p, s, 0)
+    coincident_c, coincident_p = c.copy(), p.copy()
+    coincident_c[4] = 0.0
+    coincident_p[4] = 0.0  # N = 1 on this sample only
+    tensor_from_params(coincident_c, coincident_p, s, 1)
+    with pytest.raises(DegenerateState):
+        tensor_from_params(coincident_c, coincident_p, s, -1)
+
+
 def test_detect_constant():
     state = state_with([0.0, 0.0, 2.0], [0.0, 0.0, 0.0])
     tensor = quadrupole_tensor(state)
-    series = [(float(t), tensor) for t in np.linspace(0, 5, 50)]
+    series = observables.QuadrupoleTensor(
+        *(np.full(50, v) for v in (tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz))
+    )
     verdict = detect(series)
     assert verdict.kind is SeriesKind.CONSTANT
 
 
 def test_detect_monotone_and_oscillatory_synthetic():
     def tens(v):
-        return observables.QuadrupoleTensor(-v / 2, -v / 2, v, 0.0)
+        return observables.QuadrupoleTensor(-v / 2, -v / 2, v, np.zeros_like(v))
 
     ts = np.linspace(0.0, 10.0, 200)
-    monotone = [(float(t), tens(float(t ** 2 + 1))) for t in ts]
+    monotone = tens(ts ** 2 + 1)
     assert detect(monotone).kind is SeriesKind.MONOTONE_AFTER_TRANSIENT
-    wavy = [(float(t), tens(float(math.sin(t)))) for t in ts]
+    wavy = tens(np.sin(ts))
     verdict = detect(wavy)
     assert verdict.kind is SeriesKind.OSCILLATORY
     assert verdict.extrema_count >= 2
+
+
+def test_detect_empty_series_raises():
+    empty = np.empty(0)
+    with pytest.raises(ValueError, match="empty series"):
+        detect(observables.QuadrupoleTensor(empty, empty, empty, empty))
 
 
 def test_timeseries_typical_vs_frozen():

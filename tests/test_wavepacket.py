@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coherentpair import wavepacket
+from coherentpair.pairstate import PairConfig
 from coherentpair.wavepacket import PacketParams, SpreadLaw
 
 from test_numerics import integrate_real_line
@@ -21,6 +22,15 @@ def test_spreading_rate_value_and_scaling():
     w2 = wavepacket.spreading_rate(PacketParams(2.6))
     assert abs(w2 / w1 - 0.25) < 1e-14
     assert wavepacket.spreading_rate(PacketParams(1e6)) < 1e-12
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160, 1e160, 1e200, 0.0, -1.0, math.inf, math.nan])
+def test_sigma_needs_a_normal_finite_square(sigma):
+    # sigma^2 divides the spreading rate and every Gaussian exponent
+    with pytest.raises(ValueError, match="sigma"):
+        PacketParams(sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        PairConfig(sigma, law=SpreadLaw.frozen_width())
 
 
 def test_sigma_t_culmination_and_growth():

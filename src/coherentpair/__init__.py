@@ -9,8 +9,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .meanfield import EnergyBreakdown, PhaseState, avg_hamiltonian, initial_state
-from .pairstate import ExchangeSymmetry, PairConfig, overlap, pair_amplitude
-from .wavepacket import PacketParams, SpreadLaw, kinetic_energy, sigma_t, spreading_rate
+from .pairstate import ExchangeSymmetry, PairConfig, overlap
+from .wavepacket import PacketParams, SpreadLaw, kinetic_energy, spreading_rate
 
 __all__ = [
     "CoherentPairError",
@@ -29,8 +29,6 @@ __all__ = [
     "initial_state",
     "kinetic_energy",
     "overlap",
-    "pair_amplitude",
-    "sigma_t",
     "spreading_rate",
 ]
 

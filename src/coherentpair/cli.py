@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, meanfield, observables, oracle
-from .errors import CoherentPairError
+from .errors import CoherentPairError, NonFinite
 from .observables import Plane
 from .pairstate import ExchangeSymmetry, PairConfig
 from .wavepacket import SpreadLaw
@@ -107,20 +107,29 @@ def _config_from_args(args) -> PairConfig:
 
 
 def _run_trajectory(args):
-    config = _config_from_args(args)
-    state = meanfield.initial_state(config)
-    return dynamics.integrate(state, args.dt, args.t_max)
+    state = meanfield.initial_state(_config_from_args(args))
+    traj = dynamics.integrate(state, args.dt, args.t_max)
+    # a width whose fourth power overflows leaves inf * 0 = nan in the
+    # tensor; _finite_table reports it as one error, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return traj, observables.quadrupole_timeseries(traj)
+
+
+def _finite_table(columns, sigma: float) -> np.ndarray:
+    table = np.column_stack(columns)
+    if not np.isfinite(table).all():
+        raise NonFinite(f"the output table left the float range at width sigma={_fmt(sigma)}")
+    return table
 
 
 def _cmd_simulate(args) -> int:
-    traj = _run_trajectory(args)
-    tensor = observables.quadrupole_timeseries(traj)
+    traj, tensor = _run_trajectory(args)
     energy = traj.energy
-    table = np.column_stack((
+    table = _finite_table((
         traj.t, traj.r, traj.p, traj.sigma, traj.overlap,
         energy[:, 5], energy[:, 3] + energy[:, 4],
         tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz,
-    ))
+    ), args.sigma)
     with Path(args.output).open("w") as fh:
         fh.write(SIMULATE_HEADER + "\n")
         _write_rows(fh, table, ",")
@@ -128,10 +137,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_quadrupole(args) -> int:
-    traj = _run_trajectory(args)
-    tensor = observables.quadrupole_timeseries(traj)
+    traj, tensor = _run_trajectory(args)
+    table = _finite_table((traj.t, tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz), args.sigma)
     verdict = observables.detect(tensor)
-    table = np.column_stack((traj.t, tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz))
     with Path(args.output).open("w") as fh:
         fh.write(QUADRUPOLE_HEADER + "\n")
         # the verdict column is empty except on the last row

@@ -25,6 +25,7 @@ from . import numerics
 from .errors import DegenerateState
 # bench/tracer.py wraps overlap_from_params under this module's name as well
 from .pairstate import _DEGENERATE_EPS, PairConfig, overlap_from_params  # noqa: F401
+from .wavepacket import _vec3
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -43,12 +44,10 @@ class PhaseState:
     config: PairConfig
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=float).reshape(3)
-        p = np.asarray(self.p, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(p)) and math.isfinite(self.t)):
-            raise ValueError("phase state must be finite")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p", p)
+        if not math.isfinite(self.t):
+            raise ValueError("phase state time must be finite")
+        object.__setattr__(self, "r", _vec3(self.r))
+        object.__setattr__(self, "p", _vec3(self.p))
 
     @property
     def width(self) -> float:

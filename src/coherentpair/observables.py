@@ -143,17 +143,6 @@ def invert_p(tensor: QuadrupoleTensor, sigma: float) -> tuple[float, float]:
     return p0x, p0z
 
 
-def directional_quadrupole(tensor: QuadrupoleTensor, theta: float, phi: float) -> float:
-    """Projection D(theta, phi) of the tensor on a viewing direction."""
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    return (
-        tensor.d_zz * ct * ct
-        + (tensor.d_xx * cp * cp + tensor.d_yy * sp * sp) * st * st
-        + 2.0 * tensor.d_xz * ct * st * cp
-    )
-
-
 class SeriesKind(enum.Enum):
     MONOTONE_AFTER_TRANSIENT = "monotone"
     OSCILLATORY = "oscillatory"

@@ -520,14 +520,10 @@ _GATES = {
 _ABS_FLOOR = 1e-12
 
 
-def gate_for(report: OracleReport) -> float:
-    return _GATES.get(report.quantity, 1e-6)
-
-
 def report_passes(report: OracleReport) -> bool:
     if abs(report.numeric) < _ABS_FLOOR and abs(report.analytic) < _ABS_FLOOR:
         return True
-    return report.rel_err <= gate_for(report)
+    return report.rel_err <= _GATES.get(report.quantity, 1e-6)
 
 
 def run_validation(seed_path: str | None = None) -> tuple[list[tuple[OracleReport, bool]], bool]:

@@ -3,8 +3,8 @@
 The pair is parametrized in the center-of-mass frame: packet 1 carries
 (+r0, +p0), packet 2 carries (-r0, -p0), both of width sigma.  The spatial
 part is symmetric for anti-parallel spins, antisymmetric for parallel
-spins; a distinguishable mode (bare product, no symmetrization) exists as
-a test-only baseline.
+spins.  The distinguishable mode (bare product, no symmetrization) isolates
+the exchange terms; the CLI selects it with ``--spin distinguishable``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateState
-from .wavepacket import PacketParams, SpreadLaw, amplitude, sigma_t
+from .errors import DegenerateState, NonFinite
+from .wavepacket import PacketParams, SpreadLaw, _vec3
 
 _DEGENERATE_EPS = 1e-12
 
@@ -60,28 +60,16 @@ class PairConfig:
 
     def __post_init__(self) -> None:
         packet = PacketParams(self.sigma)  # checks sigma
-        r0 = np.asarray(self.r0, dtype=float).reshape(3)
-        p0 = np.asarray(self.p0, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(r0)) and np.all(np.isfinite(p0))):
-            raise ValueError("r0 and p0 must be finite")
-        object.__setattr__(self, "r0", r0)
-        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "r0", _vec3(self.r0))
+        object.__setattr__(self, "p0", _vec3(self.p0))
         if self.law is None:
             object.__setattr__(self, "law", SpreadLaw.for_packet(packet))
         if self.symmetry is ExchangeSymmetry.ANTISYMMETRIC and not (
-            np.any(r0 != 0.0) or np.any(p0 != 0.0)
+            np.any(self.r0 != 0.0) or np.any(self.p0 != 0.0)
         ):
             raise ValueError(
                 "antisymmetric pair with r0 = p0 = 0 vanishes identically"
             )
-
-    @property
-    def packet1(self) -> PacketParams:
-        return PacketParams(self.sigma, self.r0, self.p0)
-
-    @property
-    def packet2(self) -> PacketParams:
-        return PacketParams(self.sigma, -self.r0, -self.p0)
 
 
 def overlap_from_params(offset2, p2, s) -> float | np.ndarray:
@@ -99,36 +87,11 @@ def overlap_from_params(offset2, p2, s) -> float | np.ndarray:
 
 def overlap(config: PairConfig, t: float = 0.0) -> float:
     """Overlap integral N(t) of the two freely drifting packets."""
-    s = sigma_t(config.packet1, config.law, t)
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    s = config.law.width(config.sigma, t)
     c = config.r0 + config.p0 * t
     return overlap_from_params(float(np.dot(c, c)), float(np.dot(config.p0, config.p0)), s)
-
-
-def _norm_factor(sign: int, n2: float) -> float:
-    den = 2.0 * (1.0 + sign * n2)
-    if den <= _DEGENERATE_EPS:
-        raise DegenerateState("antisymmetric pair state with overlap N -> 1")
-    return 1.0 / math.sqrt(den)
-
-
-def pair_amplitude(config: PairConfig, r1, r2, t: float = 0.0) -> complex:
-    """Value of the normalized pair wave function at (r1, r2).
-
-    [Psi_1(r1) Psi_2(r2) +/- Psi_1(r2) Psi_2(r1)] / sqrt(2 (1 +/- N^2));
-    distinguishable mode returns the bare product.  The sqrt(2) keeps the
-    state probability-normalized.
-    """
-    p1, p2 = config.packet1, config.packet2
-    law = config.law
-    a11 = amplitude(p1, law, r1, t)
-    a22 = amplitude(p2, law, r2, t)
-    if config.symmetry is ExchangeSymmetry.DISTINGUISHABLE:
-        return a11 * a22
-    a12 = amplitude(p1, law, r2, t)
-    a21 = amplitude(p2, law, r1, t)
-    n = overlap(config, t)
-    sign = config.symmetry.sign
-    return (a11 * a22 + sign * a12 * a21) * _norm_factor(sign, n * n)
 
 
 def density_from_params(x, c, p, s: float, sign: int) -> float | np.ndarray:
@@ -146,7 +109,10 @@ def density_from_params(x, c, p, s: float, sign: int) -> float | np.ndarray:
     c0, c1, c2 = np.asarray(c, dtype=float).reshape(3).tolist()
     p0, p1, p2 = np.asarray(p, dtype=float).reshape(3).tolist()
     s2 = s * s
-    norm = (2.0 * math.pi * s2) ** -1.5
+    try:
+        norm = (2.0 * math.pi * s2) ** -1.5
+    except OverflowError:
+        raise NonFinite(f"the density normalization overflows at sigma_x = {s:.12g}") from None
     # one expression per Gaussian lets numpy reuse its temporaries in place;
     # a point and its mirror image swap the two lobes exactly
     g = np.exp(-((x0 - c0) ** 2 + (x1 - c1) ** 2 + (x2 - c2) ** 2) / (2.0 * s2))
@@ -162,10 +128,3 @@ def density_from_params(x, c, p, s: float, sign: int) -> float | np.ndarray:
         g += sign * cross * np.cos(2.0 * (p0 * x0 + p1 * x1 + p2 * x2))
     out = norm * g / den
     return float(out) if np.ndim(out) == 0 else out
-
-
-def one_particle_density(config: PairConfig, r, t: float = 0.0) -> float:
-    """n(r) = 2 int |pair_amplitude(r, r2)|^2 d^3 r2, with int n = 2."""
-    s = sigma_t(config.packet1, config.law, t)
-    c = config.r0 + config.p0 * t
-    return density_from_params(r, c, config.p0, s, config.symmetry.sign)

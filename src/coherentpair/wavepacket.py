@@ -78,35 +78,6 @@ def spreading_rate(params: PacketParams) -> float:
     return 0.5 / (params.sigma * params.sigma)
 
 
-def sigma_t(params: PacketParams, law: SpreadLaw, t: float) -> float:
-    """Width sigma_x(t); equals sigma at culmination and in frozen mode."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    return law.width(params.sigma, t)
-
-
-def center(params: PacketParams, t: float) -> np.ndarray:
-    """Drifted packet center r0 + p0 t / m."""
-    return params.r0 + params.p0 * t
-
-
-def amplitude(params: PacketParams, law: SpreadLaw, r, t: float) -> complex:
-    """Wave function value at position ``r`` and time ``t``.
-
-    Gaussian envelope of width sigma_x(t) around the drifted center with a
-    plane-wave phase exp(i p0 . r).  Unit norm; the global (Gouy) phase of
-    the exact propagator is dropped since all observables used here are
-    densities.
-    """
-    r = np.asarray(r, dtype=float).reshape(3)
-    s = sigma_t(params, law, t)
-    c = center(params, t)
-    d2 = float(np.dot(r - c, r - c))
-    norm = (2.0 * math.pi * s * s) ** -0.75
-    phase = float(np.dot(params.p0, r))
-    return norm * math.exp(-d2 / (4.0 * s * s)) * complex(math.cos(phase), math.sin(phase))
-
-
 def kinetic_energy(params: PacketParams) -> float:
     """Mean kinetic energy p0^2/(2m) + 3 hbar^2 / (8 m sigma^2).
 

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +281,33 @@ def test_extreme_finite_input_fails_with_one_line(tmp_path, capsys, args, code, 
     assert not out.exists()
 
 
+def test_density_normalization_overflow_names_the_width(tmp_path, capsys):
+    out = tmp_path / "x.out"
+    assert run(["density", "--sigma", "1e-150", "--times", "0", "--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime failure:") and "1e-150" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "quadrupole"])
+@pytest.mark.parametrize("sigma, pz, named", [
+    # sigma^4 overflows in the tensor, and inf * 0 leaves nan
+    ("1e80", "0", "sigma=1e+80"),
+    ("1e80", "-0.5", "sigma=1e+80"),
+    ("1e120", "0", "sigma=1e+120"),
+    # the energy overflows on the first RK4 step, before any tensor
+    ("1e120", "-0.5", "t=0"),
+])
+def test_non_finite_table_fails_before_writing(tmp_path, capsys, command, sigma, pz, named):
+    out = tmp_path / "x.csv"
+    argv = [command, "--sigma", sigma, "--pz", pz, "--t-max", "1", "--dt", "0.1"]
+    assert run(argv + ["--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime failure:")
+    assert "float range" in err[0] and named in err[0]
+    assert not out.exists()
+
+
 def test_sweep_point_with_overflowing_width_is_an_error_row(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(_SWEEP + ["--t-max", "1e300", "--dt", "1e294", "--output", str(out)]) == 0
@@ -397,3 +427,30 @@ def test_validate_malformed_seed_list_exits_2(tmp_path, capsys, content):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("invalid configuration:")
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_RUN_COMMANDS = ("simulate", "quadrupole", "sweep-traveltime", "density")
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every run command in the README's sh blocks, continuations joined."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", _README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if len(words) > 1 and words[0] == "coherentpair" and words[1] in _RUN_COMMANDS:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(_RUN_COMMANDS)
+    for argv in commands:
+        assert run(argv) == 0, argv
+        out = Path(argv[argv.index("--output") + 1])
+        # several density times write name_000.ext, name_001.ext, ...
+        written = [out] if out.exists() else sorted(Path().glob(f"{out.stem}_*{out.suffix}"))
+        assert written and all(path.stat().st_size > 0 for path in written), argv

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coherentpair import dynamics, meanfield, numerics, pairstate, wavepacket
+from coherentpair import dynamics, meanfield, numerics, pairstate
 from coherentpair.dynamics import Outcome, Regime
 from coherentpair.errors import MalformedTrajectory, NonFinite
 from coherentpair.meanfield import PhaseState, initial_state
@@ -195,7 +195,7 @@ def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, fr
     assert traj.energy is traj.energy and len(calls) == traj.t.size
     assert np.array_equal(traj.overlap, overlap)
     np.testing.assert_array_equal(traj.sigma, [
-        wavepacket.sigma_t(cfg.packet1, cfg.law, float(t)) for t in traj.t
+        cfg.law.width(cfg.sigma, float(t)) for t in traj.t
     ])
 
 

@@ -8,13 +8,11 @@ import pytest
 from coherentpair import dynamics, observables, oracle
 from coherentpair.errors import DegenerateState, PreconditionViolated
 from coherentpair.meanfield import PhaseState, initial_state
-from coherentpair.numerics import gauss_legendre
 from coherentpair.observables import (
     Plane,
     SeriesKind,
     detect,
     density_grid,
-    directional_quadrupole,
     invert_p,
     invert_r0,
     quadrupole_tensor,
@@ -112,38 +110,6 @@ def test_invert_p_roundtrip_xz():
     got_px, got_pz = invert_p(tensor, sigma)
     assert abs(got_px - px) / px < 0.02
     assert abs(got_pz - pz) / pz < 0.02
-
-
-def test_directional_axes():
-    tensor = tensor_from_params(np.array([0.2, 0.0, 0.9]), np.array([0.3, 0.0, -0.1]), 1.0, 1)
-    assert abs(directional_quadrupole(tensor, 0.0, 0.0) - tensor.d_zz) < 1e-14
-    assert abs(directional_quadrupole(tensor, math.pi / 2, 0.0) - tensor.d_xx) < 1e-12
-    assert abs(directional_quadrupole(tensor, math.pi / 2, math.pi / 2) - tensor.d_yy) < 1e-12
-
-
-def test_directional_sphere_average_vanishes():
-    tensor = tensor_from_params(np.array([0.4, 0.0, 0.7]), np.array([0.2, 0.0, -0.5]), 0.9, 1)
-    cos_nodes, cos_weights = gauss_legendre(64, -1.0, 1.0)
-    phis = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    total = 0.0
-    for ct, w in zip(cos_nodes, cos_weights):
-        theta = math.acos(ct)
-        for phi in phis:
-            total += w * directional_quadrupole(tensor, theta, float(phi))
-    total /= 2.0 * len(phis)
-    assert abs(total) < 1e-12 * tensor.norm
-
-
-def test_directional_reconstruction():
-    tensor = tensor_from_params(np.array([0.3, 0.0, 1.1]), np.array([0.25, 0.0, -0.4]), 1.1, 1)
-    d_zz = directional_quadrupole(tensor, 0.0, 0.0)
-    d_xx = directional_quadrupole(tensor, math.pi / 2, 0.0)
-    d_yy = directional_quadrupole(tensor, math.pi / 2, math.pi / 2)
-    mixed = directional_quadrupole(tensor, math.pi / 4, 0.0)
-    d_xz = mixed - 0.5 * (d_zz + d_xx)
-    for got, want in ((d_xx, tensor.d_xx), (d_yy, tensor.d_yy),
-                      (d_zz, tensor.d_zz), (d_xz, tensor.d_xz)):
-        assert abs(got - want) <= 1e-10 * max(tensor.norm, 1.0)
 
 
 def tensor_per_point(c, p, s, sign):

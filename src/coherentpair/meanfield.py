@@ -2,7 +2,7 @@
 
 The phase-space state carries the relative coordinate r = r1 - r2 and the
 relative momentum p = (p1 - p2)/2; the underlying packets sit at +/- r/2
-with momenta +/- p and share the prescribed width sigma_x(t).  This pair
+with momenta +/- p and share the config's width sigma_x(t).  This pair
 (r, p) is canonically conjugate, so Hamilton's equations dr/dt = dE/dp,
 dp/dt = -dE/dr reproduce free packet drift (each center moves at p/m) and
 reduce to the reduced-mass m/2 Coulomb collision when the width is small.
@@ -51,8 +51,8 @@ class PhaseState:
 
     @property
     def width(self) -> float:
-        """Packet width sigma_x(t) under the config's spread law."""
-        return self.config.law.width(self.config.sigma, self.t)
+        """Packet width sigma_x(t) of the config."""
+        return self.config.width(self.t)
 
     @property
     def separation(self) -> float:
@@ -153,11 +153,6 @@ def _core(rho: float, pp: float, s: float, sign: int, kappa: float):
     return parts, de_drho, de_dpp
 
 
-def breakdown_from_params(rho: float, pp: float, s: float, sign: int, kappa: float) -> EnergyBreakdown:
-    parts, _, _ = _core(rho, pp, s, sign, kappa)
-    return EnergyBreakdown(*parts)
-
-
 def avg_hamiltonian(state: PhaseState) -> EnergyBreakdown:
     """Expectation of p_rel^2/m + e0^2/|r1 - r2| in the pair state at time t.
 
@@ -168,9 +163,8 @@ def avg_hamiltonian(state: PhaseState) -> EnergyBreakdown:
     """
     rho = float(np.dot(state.r, state.r))
     pp = float(np.dot(state.p, state.p))
-    return breakdown_from_params(
-        rho, pp, state.width, state.config.symmetry.sign, state.config.coupling
-    )
+    parts, _, _ = _core(rho, pp, state.width, state.config.symmetry.sign, state.config.coupling)
+    return EnergyBreakdown(*parts)
 
 
 def coulomb_bound(config: PairConfig) -> float:

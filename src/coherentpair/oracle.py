@@ -27,7 +27,7 @@ from . import observables
 from .meanfield import PhaseState, avg_hamiltonian
 from .numerics import gauss_legendre
 from .pairstate import ExchangeSymmetry, PairConfig, overlap
-from .wavepacket import PacketParams, SpreadLaw, kinetic_energy, spreading_rate
+from .wavepacket import PacketParams, kinetic_energy, spreading_rate
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -322,7 +322,7 @@ class _Engine:
 
 def oracle_overlap(config: PairConfig, t: float = 0.0) -> OracleReport:
     """3D quadrature of conj(Psi_1) Psi_2 against the closed-form overlap."""
-    s = config.law.width(config.sigma, t)
+    s = config.width(t)
     c = config.r0 + config.p0 * t
     geom = _PairGeometry(s, c, config.p0.copy(), config.symmetry.sign)
     eng = _Engine(geom)
@@ -580,7 +580,7 @@ def run_validation(seed_path: str | None = None) -> tuple[list[tuple[OracleRepor
     # anchor: coincident symmetric pair, sigma = 1 -> Coulomb 1/sqrt(pi)
     anchor = PhaseState(
         np.zeros(3), np.zeros(3), 0.0,
-        PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, law=SpreadLaw.frozen_width()),
+        PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True),
     )
     bd = avg_hamiltonian(anchor)
     eng = _Engine(_PairGeometry.from_state(anchor))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateState, NonFinite
-from .wavepacket import PacketParams, SpreadLaw, _vec3
+from .wavepacket import PacketParams, _vec3, spreading_rate
 
 _DEGENERATE_EPS = 1e-12
 
@@ -48,7 +48,9 @@ class PairConfig:
     """Mirrored coherent pair: packets at +/- r0 with momenta +/- p0.
 
     ``coupling`` is the Coulomb strength e0^2 (1 in atomic units).
-    Culmination is at t = 0 for both packets.
+    Culmination is at t = 0 for both packets.  Both spread freely, at the
+    ``omega`` that ``spreading_rate`` derives from sigma; ``frozen_width``
+    is the comparison model with omega = 0, whose width stays sigma.
     """
 
     sigma: float
@@ -56,20 +58,24 @@ class PairConfig:
     p0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     symmetry: ExchangeSymmetry = ExchangeSymmetry.SYMMETRIC
     coupling: float = 1.0
-    law: SpreadLaw | None = None
+    frozen_width: bool = False
+    omega: float = field(init=False)
 
     def __post_init__(self) -> None:
         packet = PacketParams(self.sigma)  # checks sigma
         object.__setattr__(self, "r0", _vec3(self.r0))
         object.__setattr__(self, "p0", _vec3(self.p0))
-        if self.law is None:
-            object.__setattr__(self, "law", SpreadLaw.for_packet(packet))
+        object.__setattr__(self, "omega", 0.0 if self.frozen_width else spreading_rate(packet))
         if self.symmetry is ExchangeSymmetry.ANTISYMMETRIC and not (
             np.any(self.r0 != 0.0) or np.any(self.p0 != 0.0)
         ):
             raise ValueError(
                 "antisymmetric pair with r0 = p0 = 0 vanishes identically"
             )
+
+    def width(self, t: float) -> float:
+        """Packet width sigma_x(t) = sigma sqrt(1 + omega^2 t^2); exactly sigma when frozen."""
+        return self.sigma * math.sqrt(1.0 + (self.omega * t) ** 2)
 
 
 def overlap_from_params(offset2, p2, s) -> float | np.ndarray:
@@ -89,7 +95,7 @@ def overlap(config: PairConfig, t: float = 0.0) -> float:
     """Overlap integral N(t) of the two freely drifting packets."""
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    s = config.law.width(config.sigma, t)
+    s = config.width(t)
     c = config.r0 + config.p0 * t
     return overlap_from_params(float(np.dot(c, c)), float(np.dot(config.p0, config.p0)), s)
 

@@ -42,32 +42,6 @@ class PacketParams:
         object.__setattr__(self, "p0", _vec3(self.p0))
 
 
-@dataclass(frozen=True)
-class SpreadLaw:
-    """Width evolution: free spreading at rate ``omega``.
-
-    ``omega = 0`` is the frozen width: sigma_x(t) = sigma for all finite t.
-    """
-
-    omega: float
-
-    def __post_init__(self) -> None:
-        if self.omega < 0:
-            raise ValueError("omega must be non-negative")
-
-    @classmethod
-    def for_packet(cls, params: PacketParams) -> "SpreadLaw":
-        return cls(spreading_rate(params))
-
-    @classmethod
-    def frozen_width(cls) -> "SpreadLaw":
-        return cls(0.0)
-
-    def width(self, sigma: float, t: float) -> float:
-        """sigma_x at time ``t`` after culmination of a packet of width ``sigma``."""
-        return sigma * math.sqrt(1.0 + (self.omega * t) ** 2)
-
-
 def spreading_rate(params: PacketParams) -> float:
     """Spreading rate omega = hbar / (2 m sigma^2), a.u.: 1 / (2 sigma^2).
 

@@ -16,7 +16,7 @@ from coherentpair.errors import DegenerateState
 from coherentpair.numerics import gauss_legendre
 from coherentpair.oracle import _axis_values
 from coherentpair.pairstate import _DEGENERATE_EPS, ExchangeSymmetry, PairConfig, overlap
-from coherentpair.wavepacket import PacketParams, SpreadLaw
+from coherentpair.wavepacket import PacketParams
 
 
 def center(params: PacketParams, t: float) -> np.ndarray:
@@ -24,16 +24,15 @@ def center(params: PacketParams, t: float) -> np.ndarray:
     return params.r0 + params.p0 * t
 
 
-def amplitude(params: PacketParams, law: SpreadLaw, r, t: float):
+def amplitude(params: PacketParams, s: float, r, t: float):
     """Wave function value at position ``r`` and time ``t``.
 
-    Gaussian envelope of width sigma_x(t) around the drifted center with a
-    plane-wave phase exp(i p0 . r).  Unit norm; the global (Gouy) phase of
-    the exact propagator is dropped since every quantity compared is a
-    density.
+    Gaussian envelope of width ``s`` (the config's sigma_x(t)) around the
+    drifted center with a plane-wave phase exp(i p0 . r).  Unit norm; the
+    global (Gouy) phase of the exact propagator is dropped since every
+    quantity compared is a density.
     """
     r = np.asarray(r, dtype=float)
-    s = law.width(params.sigma, t)
     d = r - center(params, t)
     d2 = np.sum(d * d, axis=-1)
     norm = (2.0 * math.pi * s * s) ** -0.75
@@ -58,13 +57,13 @@ def pair_amplitude(config: PairConfig, r1, r2, t: float = 0.0):
     """
     p1 = PacketParams(config.sigma, config.r0, config.p0)
     p2 = PacketParams(config.sigma, -config.r0, -config.p0)
-    law = config.law
-    a11 = amplitude(p1, law, r1, t)
-    a22 = amplitude(p2, law, r2, t)
+    s = config.width(t)
+    a11 = amplitude(p1, s, r1, t)
+    a22 = amplitude(p2, s, r2, t)
     if config.symmetry is ExchangeSymmetry.DISTINGUISHABLE:
         return a11 * a22
-    a12 = amplitude(p1, law, r2, t)
-    a21 = amplitude(p2, law, r1, t)
+    a12 = amplitude(p1, s, r2, t)
+    a21 = amplitude(p2, s, r1, t)
     n = overlap(config, t)
     sign = config.symmetry.sign
     return (a11 * a22 + sign * a12 * a21) * _norm_factor(sign, n * n)

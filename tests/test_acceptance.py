@@ -14,7 +14,6 @@ from coherentpair.dynamics import Outcome, Regime
 from coherentpair.meanfield import PhaseState, avg_hamiltonian, coulomb_bound, initial_state
 from coherentpair.observables import SeriesKind, detect, invert_p, invert_r0, tensor_from_params
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
-from coherentpair.wavepacket import SpreadLaw
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -51,7 +50,7 @@ def test_criterion_02_coulomb_oracle():
             worst = max(worst, rep.rel_err)
             ok = ok and rep.rel_err <= 1e-6
     anchor_cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC,
-                            law=SpreadLaw.frozen_width())
+                            frozen_width=True)
     anchor = avg_hamiltonian(PhaseState(np.zeros(3), np.zeros(3), 0.0, anchor_cfg))
     anchor_err = abs((anchor.coulomb_direct + anchor.coulomb_exchange) - 1.0 / SQRT_PI)
     ok = ok and anchor_err <= 1e-6
@@ -107,7 +106,7 @@ def test_criterion_05_coulomb_boundedness():
     bounds = {}
     for sigma in (0.5, 1.0, 2.0):
         cfg = PairConfig(sigma, symmetry=ExchangeSymmetry.SYMMETRIC,
-                         law=SpreadLaw.frozen_width())
+                         frozen_width=True)
         bounds[sigma] = coulomb_bound(cfg)
     finite = all(math.isfinite(b) and b > 0 for b in bounds.values())
     products = [b * s for s, b in bounds.items()]
@@ -118,11 +117,11 @@ def test_criterion_05_coulomb_boundedness():
 
 def test_criterion_06_free_motion_and_energy_drift():
     free_cfg = PairConfig(1.0, np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -0.5]),
-                          ExchangeSymmetry.DISTINGUISHABLE, 0.0, SpreadLaw.frozen_width())
+                          ExchangeSymmetry.DISTINGUISHABLE, 0.0, frozen_width=True)
     traj = dynamics.integrate(initial_state(free_cfg), 0.01, 10.0)
     pos_err = float(np.max(np.abs(traj.r[:, 2] - (10.0 - traj.t))))
     inter_cfg = PairConfig(1.0, np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -0.5]),
-                           ExchangeSymmetry.SYMMETRIC, 1.0, SpreadLaw.frozen_width())
+                           ExchangeSymmetry.SYMMETRIC, 1.0, frozen_width=True)
     traj2 = dynamics.integrate(initial_state(inter_cfg), 0.01, 30.0)
     energy = traj2.energy[:, 5]
     drift = float(np.max(np.abs(energy - energy[0]))) / abs(energy[0])
@@ -138,7 +137,7 @@ def test_criterion_07_classical_limit():
     for v0 in (0.6, 0.8, 1.0, 1.4, 2.0):
         cfg = PairConfig(sigma, np.array([0.0, 0.0, d0 / 2]),
                          np.array([0.0, 0.0, -v0 / 2]),
-                         ExchangeSymmetry.DISTINGUISHABLE, 1.0, SpreadLaw.frozen_width())
+                         ExchangeSymmetry.DISTINGUISHABLE, 1.0, frozen_width=True)
         t_free = dynamics.free_traveltime(d0, v0)
         traj = dynamics.integrate(initial_state(cfg), t_free / 4000.0, 3.0 * t_free,
                                   stop_at_separation=d0)
@@ -152,7 +151,7 @@ def test_criterion_07_classical_limit():
 def test_criterion_08_free_limit():
     d0 = 10.0
     bound = coulomb_bound(PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC,
-                                     law=SpreadLaw.frozen_width()))
+                                     frozen_width=True))
     products = []
     ratios = []
     for p in (7.6, 9.0, 11.0, 14.0, 18.0):

@@ -11,16 +11,14 @@ from coherentpair.dynamics import Outcome, Regime
 from coherentpair.errors import MalformedTrajectory, NonFinite
 from coherentpair.meanfield import PhaseState, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
-from coherentpair.wavepacket import SpreadLaw
 
 from test_meanfield import grad_p, grad_r
 
 
 def make_config(p=0.5, sigma=1.0, d0=10.0, symmetry=ExchangeSymmetry.SYMMETRIC,
                 coupling=1.0, frozen=False):
-    law = SpreadLaw.frozen_width() if frozen else None
     return PairConfig(sigma, np.array([0.0, 0.0, d0 / 2.0]),
-                      np.array([0.0, 0.0, -p]), symmetry, coupling, law)
+                      np.array([0.0, 0.0, -p]), symmetry, coupling, frozen_width=frozen)
 
 
 def test_free_motion_exact():
@@ -100,14 +98,14 @@ def rk4_step_arrays(state, t, dt, deriv):
 def integrate_arrays(initial, dt, t_max, stop_at_separation=None):
     """``integrate`` over numpy arrays: (t, r, p, sigma) of every sample."""
     config = initial.config
-    sigma, width = config.sigma, config.law.width
+    width = config.width
     sign, kappa = config.symmetry.sign, config.coupling
 
     def deriv(y, t):
         rx, ry, rz, px, py, pz = y.tolist()
         rho = rx * rx + ry * ry + rz * rz
         pp = px * px + py * py + pz * pz
-        _, de_drho, de_dpp = meanfield._core(rho, pp, width(sigma, t), sign, kappa)
+        _, de_drho, de_dpp = meanfield._core(rho, pp, width(t), sign, kappa)
         gr = 2.0 * de_drho
         gp = 2.0 * de_dpp
         return np.array([gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz])
@@ -129,7 +127,7 @@ def integrate_arrays(initial, dt, t_max, stop_at_separation=None):
             elif dipped:
                 break
     tarr, yarr = np.array(ts), np.array(ys)
-    sarr = np.array([width(sigma, tv) for tv in tarr])
+    sarr = np.array([width(tv) for tv in tarr])
     return tarr, yarr[:, :3], yarr[:, 3:], sarr
 
 
@@ -168,7 +166,7 @@ def per_sample_columns(traj):
         pp = float(np.dot(traj.p[i], traj.p[i]))
         s = float(traj.sigma[i])
         overlap[i] = pairstate.overlap_from_params(0.25 * rho, pp, s)
-        bd = meanfield.breakdown_from_params(rho, pp, s, sign, kappa)
+        bd = meanfield.EnergyBreakdown(*meanfield._core(rho, pp, s, sign, kappa)[0])
         energy[i] = (bd.kinetic_classical, bd.kinetic_uncertainty, bd.kinetic_exchange,
                      bd.coulomb_direct, bd.coulomb_exchange, bd.total)
     return overlap, energy
@@ -194,9 +192,7 @@ def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, fr
     assert len(calls) == traj.t.size
     assert traj.energy is traj.energy and len(calls) == traj.t.size
     assert np.array_equal(traj.overlap, overlap)
-    np.testing.assert_array_equal(traj.sigma, [
-        cfg.law.width(cfg.sigma, float(t)) for t in traj.t
-    ])
+    np.testing.assert_array_equal(traj.sigma, [cfg.width(float(t)) for t in traj.t])
 
 
 def test_traveltime_free_flight():
@@ -257,6 +253,36 @@ def test_classical_traveltime_closed_form(coupling):
         got = dynamics.classical_traveltime(d0, 2.0 * p, coupling)
         want = classical_return_time(d0, p, coupling)
         assert abs(got / want - 1.0) <= 1e-10, (p, d0)
+
+
+def repulsive_return_time_mp(d0, p, coupling):
+    """2 int_dmin^d0 dd / sqrt((2/mu)(E - k/d)) at mu = 1/2 by mpmath at 40 digits.
+
+    With W = d0 - d_min = p^2 d0 / E (no cancellation) and d = d0 - W s^2,
+    the integrand 2 sqrt((d_min + W s^2) / E) sqrt(W) ds is smooth on [0, 1]
+    apart from a kink of width sqrt(d_min / W), which gets its own break
+    point.  mpmath's quadrature misjudges convergence on integrands far from
+    unit size, so sqrt(W / E) stays outside the integral.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        d0, p, k = mp.mpf(d0), mp.mpf(p), mp.mpf(coupling)
+        energy = p * p + k / d0
+        d_min = k / energy
+        w = p * p * d0 / energy
+        points = [0, mp.sqrt(d_min / w), 1] if d_min < w else [0, 1]
+        integral = mp.quad(lambda s: mp.sqrt(d_min + w * s * s), points)
+        return float(2 * mp.sqrt(w / energy) * integral)
+
+
+@pytest.mark.parametrize("coupling", [1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300])
+def test_classical_traveltime_repulsive_against_mpmath(coupling):
+    # the quadrature in d = d_min + u^2 over [0, sqrt(d0 - k/E)] cancelled as
+    # p -> 0: at k = 1 it was 9.3e-4 off at p = 1e-7 and returned 0 at 1e-9
+    for p in np.logspace(-9.0, 3.0, 13):
+        got = dynamics.classical_traveltime(10.0, 2.0 * p, coupling)
+        want = repulsive_return_time_mp(10.0, p, coupling)
+        assert abs(got / want - 1.0) <= 1e-14, p
 
 
 def attractive_return_time(d0, v0, coupling):
@@ -350,15 +376,12 @@ def test_sweep_single_point_consistency():
     assert abs(rec.t_coherent - res.t_return) < 1e-9
 
 
-def test_sweep_honours_the_template_spread_law():
-    # a non-frozen law slower than the packet's natural rate 1 / (2 sigma^2)
-    law = SpreadLaw(0.2)
-    template = PairConfig(1.0, np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -0.5]),
-                          ExchangeSymmetry.SYMMETRIC, 1.0, law)
+def test_sweep_honours_the_template_frozen_width():
+    # every point inherits the template's frozen width, not the free spreading
+    template = make_config(p=0.5, frozen=True)
     rec, = dynamics.sweep_traveltime(template, [0.2], horizon_factor=2.5)
     t_free = dynamics.free_traveltime(10.0, 0.4)
-    cfg = PairConfig(1.0, np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -0.2]),
-                     ExchangeSymmetry.SYMMETRIC, 1.0, law)
+    cfg = make_config(p=0.2, frozen=True)
     traj = dynamics.integrate(initial_state(cfg), t_free / 400.0, 2.5 * t_free,
                               stop_at_separation=10.0)
     res = dynamics.traveltime(traj)

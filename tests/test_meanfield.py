@@ -9,7 +9,6 @@ from coherentpair import meanfield, numerics, oracle
 from coherentpair.errors import DegenerateState
 from coherentpair.meanfield import PhaseState, avg_hamiltonian, coulomb_bound, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
-from coherentpair.wavepacket import SpreadLaw
 
 from test_numerics import central_gradient
 
@@ -41,7 +40,7 @@ def frozen_config(sigma=1.0, symmetry=ExchangeSymmetry.SYMMETRIC, coupling=1.0,
                   r0=None, p0=None):
     r0 = np.zeros(3) if r0 is None else r0
     p0 = np.zeros(3) if p0 is None else p0
-    return PairConfig(sigma, r0, p0, symmetry, coupling, SpreadLaw.frozen_width())
+    return PairConfig(sigma, r0, p0, symmetry, coupling, frozen_width=True)
 
 
 def test_breakdown_bookkeeping():
@@ -195,7 +194,7 @@ def test_initial_state_convention():
 
 def test_degenerate_antisymmetric_raises():
     cfg = PairConfig(1.0, np.array([0.0, 0.0, 1.0]), np.zeros(3),
-                     ExchangeSymmetry.ANTISYMMETRIC, 1.0, SpreadLaw.frozen_width())
+                     ExchangeSymmetry.ANTISYMMETRIC, 1.0, frozen_width=True)
     state = PhaseState(np.array([0.0, 0.0, 1e-9]), np.zeros(3), 0.0, cfg)
     with pytest.raises(Exception):
         avg_hamiltonian(state)

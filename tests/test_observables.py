@@ -25,12 +25,11 @@ from coherentpair.pairstate import (
     density_from_params,
     overlap_from_params,
 )
-from coherentpair.wavepacket import SpreadLaw
 
 
 def state_with(r, p, sigma=1.0, symmetry=ExchangeSymmetry.SYMMETRIC, t=0.0):
     cfg = PairConfig(sigma, np.array([0.0, 0.0, 1.0]), np.array([0.05, 0.0, 0.0]),
-                     symmetry, 1.0, SpreadLaw.frozen_width())
+                     symmetry, 1.0, frozen_width=True)
     return PhaseState(np.asarray(r, float), np.asarray(p, float), t, cfg)
 
 
@@ -144,9 +143,8 @@ def tensor_per_point(c, p, s, sign):
 @pytest.mark.parametrize("frozen", [False, True], ids=["spreading", "frozen"])
 @pytest.mark.parametrize("px", [0.0, 0.2, -0.0], ids=["head-on", "oblique", "minus-zero"])
 def test_array_tensor_matches_per_point(symmetry, frozen, px):
-    law = SpreadLaw.frozen_width() if frozen else None
     cfg = PairConfig(1.0, np.array([0.0, 0.0, 2.5]), np.array([px, 0.0, -0.4]),
-                     symmetry, 1.0, law)
+                     symmetry, 1.0, frozen_width=frozen)
     traj = dynamics.integrate(initial_state(cfg), 0.05, 10.0)
     series = quadrupole_timeseries(traj)
     fields = ("d_xx", "d_yy", "d_zz", "d_xz")
@@ -294,9 +292,8 @@ _SYMMETRIES = (
 @pytest.mark.parametrize("symmetry", _SYMMETRIES)
 @pytest.mark.parametrize("frozen", [False, True])
 def test_density_grid_matches_per_cell_loop(plane, symmetry, frozen):
-    law = SpreadLaw.frozen_width() if frozen else None
     cfg = PairConfig(1.0, np.array([0.0, 0.0, 1.0]), np.array([0.05, 0.0, 0.0]),
-                     symmetry, 1.0, law)
+                     symmetry, 1.0, frozen_width=frozen)
     # every component nonzero, so each plane sees the lobes and the phase
     state = PhaseState(np.array([0.7, -0.4, 1.9]), np.array([0.3, 0.2, -0.5]), 6.0, cfg)
     # exactly antisymmetric cell centres come only with some even n

@@ -10,7 +10,6 @@ from coherentpair import oracle
 from coherentpair.meanfield import PhaseState
 from coherentpair.numerics import gauss_legendre
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
-from coherentpair.wavepacket import SpreadLaw
 from reference_amplitudes import coulomb_channel
 
 
@@ -73,7 +72,7 @@ def test_overlap_oracle_separated_and_moving():
 
 
 def test_coulomb_oracle_anchor():
-    cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, law=SpreadLaw.frozen_width())
+    cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True)
     state = PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg)
     eng = oracle._Engine(oracle._PairGeometry.from_state(state))
     val = eng.expect_coulomb()
@@ -82,7 +81,7 @@ def test_coulomb_oracle_anchor():
 
 def test_coulomb_oracle_point_charge_limit():
     cfg = PairConfig(1.0, np.array([0.0, 0.0, 10.0]), symmetry=ExchangeSymmetry.SYMMETRIC,
-                     law=SpreadLaw.frozen_width())
+                     frozen_width=True)
     state = PhaseState(np.array([0.0, 0.0, 20.0]), np.zeros(3), 0.0, cfg)
     reports = oracle.oracle_coulomb(state)
     direct = reports[0]
@@ -152,7 +151,7 @@ def _count_coulomb_combos(monkeypatch):
 def test_coulomb_integrates_each_combo_once(monkeypatch, symmetry, expected):
     calls = _count_coulomb_combos(monkeypatch)
     cfg = PairConfig(0.9, np.array([0.0, 0.0, 1.2]), np.array([0.2, 0.0, -0.3]), symmetry,
-                     law=SpreadLaw.frozen_width())
+                     frozen_width=True)
     state = PhaseState(np.array([0.3, 0.0, 2.1]), np.array([0.1, 0.0, -0.4]), 0.0, cfg)
     reports = oracle.oracle_coulomb(state)
     # the direct combo and, with exchange, the exchange combo; never a relabelled copy
@@ -162,7 +161,7 @@ def test_coulomb_integrates_each_combo_once(monkeypatch, symmetry, expected):
 
 def test_anchor_coulomb_integrates_two_combos(monkeypatch):
     calls = _count_coulomb_combos(monkeypatch)
-    cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, law=SpreadLaw.frozen_width())
+    cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True)
     state = PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg)
     eng = oracle._Engine(oracle._PairGeometry.from_state(state))
     eng.expect_coulomb()

@@ -16,7 +16,7 @@ from reference_amplitudes import pair_amplitude
 def one_particle_density(cfg, r, t=0.0):
     """n(r) = 2 int |pair_amplitude(r, r2)|^2 d^3 r2 of the drifting pair, int n = 2."""
     c = cfg.r0 + cfg.p0 * t
-    return density_from_params(r, c, cfg.p0, cfg.law.width(cfg.sigma, t), cfg.symmetry.sign)
+    return density_from_params(r, c, cfg.p0, cfg.width(t), cfg.symmetry.sign)
 
 
 def test_overlap_identical_packets():

@@ -1,0 +1,99 @@
+"""Exact symmetries of the model, used as test oracles.
+
+Scale covariance: sigma -> lam sigma, r -> lam r, p -> p / lam and
+kappa -> kappa / lam scale every energy term by 1 / lam^2 and time by
+lam^2, while the special-function arguments d / 2 sigma and 2 sigma |p|
+stay put.  That holds only because the spreading rate follows the width,
+omega = 1 / (2 sigma^2) -> omega / lam^2.  For lam a power of 2 every
+floating-point product scales exactly, so the scaled run must agree bit for
+bit.  Mirror symmetry: x -> -x maps a start with momentum (px, 0, pz) onto
+the one with (-px, 0, pz).
+"""
+
+import numpy as np
+import pytest
+
+from coherentpair import dynamics, observables
+from coherentpair.meanfield import initial_state
+from coherentpair.observables import Plane
+from coherentpair.pairstate import ExchangeSymmetry, PairConfig
+
+SCALES = [2.0, 0.5]
+STARTS = {"head-on": [0.0, 0.0, -0.3], "oblique": [0.2, 0.0, -0.4]}
+SPINS = pytest.mark.parametrize("symmetry", list(ExchangeSymmetry), ids=lambda s: s.value)
+WIDTHS = pytest.mark.parametrize("frozen", [False, True], ids=["spreading", "frozen"])
+
+
+def config(symmetry, frozen, p0, lam=1.0):
+    return PairConfig(lam, lam * np.array([0.0, 0.0, 5.0]), np.array(p0) / lam,
+                      symmetry, 1.0 / lam, frozen_width=frozen)
+
+
+def run(cfg, lam=1.0):
+    return dynamics.integrate(initial_state(cfg), lam * lam * 0.05, lam * lam * 20.0)
+
+
+def tensor_entries(traj):
+    t = observables.quadrupole_timeseries(traj)
+    return np.array([t.d_xx, t.d_yy, t.d_zz, t.d_xz])
+
+
+@SPINS
+@WIDTHS
+@pytest.mark.parametrize("start", list(STARTS), ids=str)
+@pytest.mark.parametrize("lam", SCALES)
+def test_integrate_is_scale_covariant(symmetry, frozen, start, lam):
+    p0 = STARTS[start]
+    base = run(config(symmetry, frozen, p0))
+    scaled = run(config(symmetry, frozen, p0, lam), lam)
+    assert scaled.config.omega == base.config.omega / (lam * lam)
+    assert np.array_equal(scaled.t, base.t * lam * lam)
+    assert np.array_equal(scaled.r, base.r * lam)
+    assert np.array_equal(scaled.p, base.p / lam)
+    assert np.array_equal(scaled.sigma, base.sigma * lam)
+    assert np.array_equal(scaled.energy, base.energy / (lam * lam))
+    assert np.array_equal(scaled.overlap, base.overlap)
+    assert np.array_equal(tensor_entries(scaled), tensor_entries(base) * lam * lam)
+    for i in (0, base.t.size // 2, base.t.size - 1):
+        grid = observables.density_grid(base.state(i), Plane.XZ, 12.0, 16)
+        grid_scaled = observables.density_grid(scaled.state(i), Plane.XZ, lam * 12.0, 16)
+        assert np.array_equal(grid_scaled, grid / lam ** 3)
+
+
+@SPINS
+@WIDTHS
+@pytest.mark.parametrize("lam", SCALES)
+def test_sweep_is_scale_covariant(symmetry, frozen, lam):
+    # p = 0.14 is frozen for the spreading antiparallel pair at this horizon
+    grid = [0.14, 0.3]
+    base = dynamics.sweep_traveltime(config(symmetry, frozen, [0.0, 0.0, -0.3]), grid,
+                                     horizon_factor=2.5)
+    scaled = dynamics.sweep_traveltime(config(symmetry, frozen, [0.0, 0.0, -0.3], lam),
+                                       [p / lam for p in grid], horizon_factor=2.5)
+    for a, b in zip(base, scaled):
+        assert b.error is None and b.regime is a.regime
+        assert b.t_free == a.t_free * lam * lam
+        assert b.d_min == a.d_min * lam
+        if a.t_coherent is None:
+            assert b.t_coherent is None
+        else:
+            assert b.t_coherent == a.t_coherent * lam * lam
+        # the closed form's asinh and square roots round independently of lam
+        assert abs(b.t_classical / (a.t_classical * lam * lam) - 1.0) <= 1e-15
+
+
+@SPINS
+@WIDTHS
+def test_mirror_flips_rx_px_and_dxz_only(symmetry, frozen):
+    px, _, pz = STARTS["oblique"]
+    base = run(config(symmetry, frozen, [px, 0.0, pz]))
+    mirror = run(config(symmetry, frozen, [-px, 0.0, pz]))
+    flip = np.array([-1.0, 1.0, 1.0])
+    assert np.array_equal(mirror.t, base.t)
+    assert np.array_equal(mirror.r, base.r * flip)
+    assert np.array_equal(mirror.p, base.p * flip)
+    assert np.array_equal(mirror.sigma, base.sigma)
+    assert np.array_equal(mirror.energy, base.energy)
+    assert np.array_equal(mirror.overlap, base.overlap)
+    dxz_flip = np.array([[1.0], [1.0], [1.0], [-1.0]])
+    assert np.array_equal(tensor_entries(mirror), tensor_entries(base) * dxz_flip)

@@ -7,7 +7,7 @@ import pytest
 
 from coherentpair import wavepacket
 from coherentpair.pairstate import PairConfig
-from coherentpair.wavepacket import PacketParams, SpreadLaw
+from coherentpair.wavepacket import PacketParams
 
 from reference_amplitudes import amplitude, center
 from test_numerics import integrate_real_line
@@ -31,39 +31,43 @@ def test_sigma_needs_a_normal_finite_square(sigma):
     with pytest.raises(ValueError, match="sigma"):
         PacketParams(sigma)
     with pytest.raises(ValueError, match="sigma"):
-        PairConfig(sigma, law=SpreadLaw.frozen_width())
+        PairConfig(sigma, frozen_width=True)
 
 
 def test_sigma_t_culmination_and_growth():
     # every packet culminates at t = 0, and the width is even in t
-    params = PacketParams(0.8)
-    law = SpreadLaw.for_packet(params)
-    assert law.width(params.sigma, 0.0) == 0.8
+    cfg = PairConfig(0.8)
+    assert cfg.width(0.0) == 0.8
     # omega t = 1
-    t = 1.0 / law.omega
-    assert abs(law.width(params.sigma, t) - 0.8 * math.sqrt(2)) < 1e-14
-    assert law.width(params.sigma, -t) == law.width(params.sigma, t)
+    t = 1.0 / cfg.omega
+    assert abs(cfg.width(t) - 0.8 * math.sqrt(2)) < 1e-14
+    assert cfg.width(-t) == cfg.width(t)
     # asymptotic linear growth
-    t = 10.0 / law.omega
-    assert abs(law.width(params.sigma, t) / (0.8 * 10.0) - 1.0) < 0.01
+    t = 10.0 / cfg.omega
+    assert abs(cfg.width(t) / (0.8 * 10.0) - 1.0) < 0.01
 
 
-def test_frozen_law():
+@pytest.mark.parametrize("sigma", [0.3, 0.8, 1.0, 2.5, 1e-100, 1e100])
+def test_spreading_rate_follows_sigma(sigma):
+    # omega is derived from the width, never set: 1 / (2 sigma^2), or 0 when frozen
+    assert PairConfig(sigma).omega == wavepacket.spreading_rate(PacketParams(sigma))
+    assert PairConfig(sigma, frozen_width=True).omega == 0.0
+    with pytest.raises(TypeError):
+        PairConfig(sigma, omega=0.2)
+
+
+def test_frozen_width():
     # a frozen width is omega = 0: sigma * sqrt(1 + (0 t)^2) is exactly sigma
-    params = PacketParams(0.8)
-    law = SpreadLaw.frozen_width()
-    assert law == SpreadLaw(0.0)
+    cfg = PairConfig(0.8, frozen_width=True)
     for t in (0.0, 3.0, -7.5, 100.0, 1e300):
-        assert law.width(params.sigma, t) == 0.8
-    with pytest.raises(ValueError):
-        SpreadLaw(-0.3)
+        assert cfg.width(t) == 0.8
 
 
 def test_amplitude_norm():
     params = PacketParams(1.2, np.array([0.5, -0.3, 1.0]), np.array([0.4, 0.0, -0.7]))
-    law = SpreadLaw.for_packet(params)
+    width = PairConfig(params.sigma).width
     for t in (0.0, 2.5):
-        s = law.width(params.sigma, t)
+        s = width(t)
         c = center(params, t)
         total = 1.0
         for ax in range(3):
@@ -72,22 +76,21 @@ def test_amplitude_norm():
         assert abs(total - 1.0) < 1e-8
         # the sampled amplitude factorizes into exactly these envelopes
         r = np.array([0.3, 0.1, -0.2])
-        val = abs(amplitude(params, law, r, t))
+        val = abs(amplitude(params, s, r, t))
         ref = math.prod(axis_envelope(s, c[ax], r[ax]) for ax in range(3))
         assert abs(val - ref) < 1e-14
 
 
 def test_amplitude_peak_and_mean_on_drift_line():
     params = PacketParams(1.0, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.5]))
-    law = SpreadLaw.for_packet(params)
     t = 3.0
+    s = PairConfig(params.sigma).width(t)
     c = center(params, t)
     np.testing.assert_allclose(c, [0.0, 0.0, 2.5])
     zs = np.linspace(-4, 8, 1201)
-    dens = [abs(amplitude(params, law, np.array([0.0, 0.0, z]), t)) ** 2 for z in zs]
+    dens = [abs(amplitude(params, s, np.array([0.0, 0.0, z]), t)) ** 2 for z in zs]
     assert abs(zs[int(np.argmax(dens))] - 2.5) < 0.02
     # quadrature mean along z equals the drifted center
-    s = law.width(params.sigma, t)
     num = integrate_real_line(lambda z: z * axis_envelope(s, c[2], z) ** 2, scale=16.0)
     den = integrate_real_line(lambda z: axis_envelope(s, c[2], z) ** 2, scale=16.0)
     assert abs(num / den - 2.5) < 1e-8
@@ -148,10 +151,9 @@ def test_uncertainty_product_at_culmination():
 
 
 def test_sigma_t_exceeds_culmination_width():
-    params = PacketParams(1.0)
-    law = SpreadLaw.for_packet(params)
+    cfg = PairConfig(1.0)
     for t in np.linspace(-5, 5, 41):
-        s = law.width(params.sigma, float(t))
+        s = cfg.width(float(t))
         if t == 0:
             assert s == 1.0
         else:

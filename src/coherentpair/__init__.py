@@ -9,8 +9,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .meanfield import EnergyBreakdown, PhaseState, avg_hamiltonian, initial_state
-from .pairstate import ExchangeSymmetry, PairConfig, overlap
-from .wavepacket import PacketParams, kinetic_energy, spreading_rate
+from .pairstate import ExchangeSymmetry, PairConfig, kinetic_energy, overlap
 
 __all__ = [
     "CoherentPairError",
@@ -20,7 +19,6 @@ __all__ = [
     "MalformedTrajectory",
     "NonConvergence",
     "NonFinite",
-    "PacketParams",
     "PairConfig",
     "PhaseState",
     "PreconditionViolated",
@@ -28,7 +26,6 @@ __all__ = [
     "initial_state",
     "kinetic_energy",
     "overlap",
-    "spreading_rate",
 ]
 
 __version__ = "0.1.0"

@@ -24,8 +24,7 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateState
 # bench/tracer.py wraps overlap_from_params under this module's name as well
-from .pairstate import _DEGENERATE_EPS, PairConfig, overlap_from_params  # noqa: F401
-from .wavepacket import _vec3
+from .pairstate import _DEGENERATE_EPS, PairConfig, _vec3, overlap_from_params  # noqa: F401
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -100,11 +99,12 @@ def _erf_over_d(rho: float, s: float) -> tuple[float, float]:
     else:
         z = math.sqrt(z2)
         e = numerics.erf(z)
-        q = e / (2.0 * s * z)
+        d = 2.0 * s * z  # the separation: 2 d^3 stays finite where s^3 z^3 overflows
+        q = e / d
     if z2 < 1e-4:
         dq = (-1.0 / 3.0 + z2 / 5.0 - z2 * z2 / 14.0) / (_SQRT_PI * s) / (4.0 * s * s)
     else:
-        dq = ((2.0 / _SQRT_PI) * z * math.exp(-z2) - e) / (16.0 * s ** 3 * z ** 3)
+        dq = ((2.0 / _SQRT_PI) * z * math.exp(-z2) - e) / (2.0 * d * d * d)
     return q, dq
 
 
@@ -123,6 +123,10 @@ def _core(rho: float, pp: float, s: float, sign: int, kappa: float):
         parts = (pp, uncert, 0.0, d_term, 0.0)
         return parts, d_term_drho, 1.0
 
+    e_r = math.exp(-rho / (4.0 * s2))
+    if e_r == 0.0:
+        # every exchange term carries e_r, so all vanish; b below need not be finite
+        return (pp, uncert, 0.0, d_term, 0.0), d_term_drho, 1.0
     g = math.exp(-rho / (4.0 * s2) - 4.0 * s2 * pp)
     den = 1.0 + sign * g
     if den <= _DEGENERATE_EPS:
@@ -130,7 +134,7 @@ def _core(rho: float, pp: float, s: float, sign: int, kappa: float):
 
     x_arg = 2.0 * s * math.sqrt(pp)
     fr, fr_dx2 = numerics.dawson_ratio(x_arg)
-    x_pref = kappa * math.exp(-rho / (4.0 * s2)) / (_SQRT_PI * s)
+    x_pref = kappa * e_r / (_SQRT_PI * s)
     x_term = x_pref * fr
 
     b = rho / (16.0 * s2 * s2)

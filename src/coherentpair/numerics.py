@@ -14,6 +14,7 @@ there is no shared mutable state.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -168,22 +169,17 @@ def _adapt(ev, a, b, fa, fm, fb, whole, depth):
     )
 
 
+@functools.cache
+def _leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # looked up per call: numpy imports np.polynomial only on first use
+    return np.polynomial.legendre.leggauss(n)
+
+
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [a, b]."""
     x, w = _leggauss_cached(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
-
-
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _LEGGAUSS_CACHE.get(n)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(n)
-        _LEGGAUSS_CACHE[n] = got
-    return got
 
 
 # ---------------------------------------------------------------------------

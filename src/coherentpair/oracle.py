@@ -26,8 +26,7 @@ import numpy as np
 from . import observables
 from .meanfield import PhaseState, avg_hamiltonian
 from .numerics import gauss_legendre
-from .pairstate import ExchangeSymmetry, PairConfig, overlap
-from .wavepacket import PacketParams, kinetic_energy, spreading_rate
+from .pairstate import ExchangeSymmetry, PairConfig, kinetic_energy, overlap
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -403,13 +402,13 @@ def oracle_moments(state: PhaseState) -> list[OracleReport]:
     return reports
 
 
-def oracle_packet_kinetic(params: PacketParams) -> OracleReport:
-    """Single-packet mean kinetic energy <p^2>/2m from derivative quadrature."""
-    geom = _PairGeometry(params.sigma, params.r0.copy(), params.p0.copy(), 0)
+def oracle_packet_kinetic(sigma: float, p0: np.ndarray) -> OracleReport:
+    """Mean kinetic energy <p^2>/2m of one packet at the origin, from derivative quadrature."""
+    geom = _PairGeometry(sigma, np.zeros(3), p0, 0)
     eng = _Engine(geom)
     norm = eng.one_body(1, 1, {})
     lap = sum((eng.one_body(1, 1, {ax: (0, 2)}) / norm).real for ax in range(3))
-    return OracleReport("packet_kinetic", kinetic_energy(params), -0.5 * lap,
+    return OracleReport("packet_kinetic", kinetic_energy(sigma, p0), -0.5 * lap,
                         eng.nodes_used)
 
 
@@ -422,9 +421,10 @@ def oracle_spreading(sigma: float) -> OracleReport:
     """Fit the variance growth of a 1D grid Fourier evolution.
 
     Free-particle split-free evolution: psi_hat(k, t) = psi_hat(k, 0)
-    exp(-i k^2 t / 2).  The fitted rate is compared with 1/(2 sigma^2).
+    exp(-i k^2 t / 2).  The fitted rate is compared with the omega the
+    dynamics uses, ``PairConfig(sigma).omega`` = 1/(2 sigma^2).
     """
-    analytic = spreading_rate(PacketParams(sigma))
+    analytic = PairConfig(sigma).omega
     length = 80.0 * sigma
     dx = length / _SPREAD_GRID
     x = np.linspace(-0.5 * length, 0.5 * length, _SPREAD_GRID, endpoint=False)
@@ -576,7 +576,7 @@ def run_validation(seed_path: str | None = None) -> tuple[list[tuple[OracleRepor
     for sigma in (0.5, 1.0, 2.0):
         add(oracle_spreading(sigma))
     for sigma, p0 in ((1.0, np.zeros(3)), (0.7, np.array([0.5, 0.1, -0.3]))):
-        add(oracle_packet_kinetic(PacketParams(sigma, np.zeros(3), p0)))
+        add(oracle_packet_kinetic(sigma, p0))
     # anchor: coincident symmetric pair, sigma = 1 -> Coulomb 1/sqrt(pi)
     anchor = PhaseState(
         np.zeros(3), np.zeros(3), 0.0,

@@ -11,14 +11,21 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateState, NonFinite
-from .wavepacket import PacketParams, _vec3, spreading_rate
 
 _DEGENERATE_EPS = 1e-12
+
+
+def _vec3(v) -> np.ndarray:
+    a = np.asarray(v, dtype=float).reshape(3)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("vector components must be finite")
+    return a
 
 
 class ExchangeSymmetry(enum.Enum):
@@ -47,10 +54,13 @@ class ExchangeSymmetry(enum.Enum):
 class PairConfig:
     """Mirrored coherent pair: packets at +/- r0 with momenta +/- p0.
 
-    ``coupling`` is the Coulomb strength e0^2 (1 in atomic units).
-    Culmination is at t = 0 for both packets.  Both spread freely, at the
-    ``omega`` that ``spreading_rate`` derives from sigma; ``frozen_width``
-    is the comparison model with omega = 0, whose width stays sigma.
+    ``sigma`` is the per-axis coordinate uncertainty of each packet at
+    culmination, t = 0.  ``coupling`` is the Coulomb strength e0^2 (1 in
+    atomic units).  Both packets spread freely at the rate
+    omega = hbar / (2 m sigma^2), the unique rate for which the variance
+    obeys sigma_x^2(t) = sigma^2 (1 + omega^2 t^2), pinned by the grid
+    Fourier evolution oracle; ``frozen_width`` is the comparison model
+    with omega = 0, whose width stays sigma.
     """
 
     sigma: float
@@ -62,10 +72,13 @@ class PairConfig:
     omega: float = field(init=False)
 
     def __post_init__(self) -> None:
-        packet = PacketParams(self.sigma)  # checks sigma
+        # sigma^2 divides the spreading rate and every Gaussian exponent
+        if not (self.sigma > 0 and sys.float_info.min <= self.sigma * self.sigma < math.inf):
+            raise ValueError("sigma must be positive, with a normal finite square")
         object.__setattr__(self, "r0", _vec3(self.r0))
         object.__setattr__(self, "p0", _vec3(self.p0))
-        object.__setattr__(self, "omega", 0.0 if self.frozen_width else spreading_rate(packet))
+        omega = 0.0 if self.frozen_width else 0.5 / (self.sigma * self.sigma)
+        object.__setattr__(self, "omega", omega)
         if self.symmetry is ExchangeSymmetry.ANTISYMMETRIC and not (
             np.any(self.r0 != 0.0) or np.any(self.p0 != 0.0)
         ):
@@ -76,6 +89,17 @@ class PairConfig:
     def width(self, t: float) -> float:
         """Packet width sigma_x(t) = sigma sqrt(1 + omega^2 t^2); exactly sigma when frozen."""
         return self.sigma * math.sqrt(1.0 + (self.omega * t) ** 2)
+
+
+def kinetic_energy(sigma: float, p0) -> float:
+    """Mean kinetic energy p0^2/(2m) + 3 hbar^2 / (8 m sigma^2) of one packet.
+
+    The second term is the momentum-uncertainty contribution; it is the
+    dimensionally consistent value pinned by the momentum-space quadrature
+    oracle.
+    """
+    p2 = float(np.dot(p0, p0))
+    return 0.5 * p2 + 3.0 / (8.0 * sigma * sigma)
 
 
 def overlap_from_params(offset2, p2, s) -> float | np.ndarray:

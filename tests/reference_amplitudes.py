@@ -16,27 +16,21 @@ from coherentpair.errors import DegenerateState
 from coherentpair.numerics import gauss_legendre
 from coherentpair.oracle import _axis_values
 from coherentpair.pairstate import _DEGENERATE_EPS, ExchangeSymmetry, PairConfig, overlap
-from coherentpair.wavepacket import PacketParams
 
 
-def center(params: PacketParams, t: float) -> np.ndarray:
-    """Drifted packet center r0 + p0 t / m."""
-    return params.r0 + params.p0 * t
-
-
-def amplitude(params: PacketParams, s: float, r, t: float):
-    """Wave function value at position ``r`` and time ``t``.
+def amplitude(r0, p0, s: float, r, t: float):
+    """Value at position ``r`` and time ``t`` of the packet culminating at r0 with momentum p0.
 
     Gaussian envelope of width ``s`` (the config's sigma_x(t)) around the
-    drifted center with a plane-wave phase exp(i p0 . r).  Unit norm; the
-    global (Gouy) phase of the exact propagator is dropped since every
-    quantity compared is a density.
+    drifted center r0 + p0 t / m with a plane-wave phase exp(i p0 . r).
+    Unit norm; the global (Gouy) phase of the exact propagator is dropped
+    since every quantity compared is a density.
     """
     r = np.asarray(r, dtype=float)
-    d = r - center(params, t)
+    d = r - (r0 + p0 * t)
     d2 = np.sum(d * d, axis=-1)
     norm = (2.0 * math.pi * s * s) ** -0.75
-    phase = r @ params.p0
+    phase = r @ p0
     return norm * np.exp(-d2 / (4.0 * s * s)) * (np.cos(phase) + 1j * np.sin(phase))
 
 
@@ -55,15 +49,14 @@ def pair_amplitude(config: PairConfig, r1, r2, t: float = 0.0):
     state probability-normalized.  ``r1`` and ``r2`` broadcast against
     each other.
     """
-    p1 = PacketParams(config.sigma, config.r0, config.p0)
-    p2 = PacketParams(config.sigma, -config.r0, -config.p0)
+    r0, p0 = config.r0, config.p0
     s = config.width(t)
-    a11 = amplitude(p1, s, r1, t)
-    a22 = amplitude(p2, s, r2, t)
+    a11 = amplitude(r0, p0, s, r1, t)
+    a22 = amplitude(-r0, -p0, s, r2, t)
     if config.symmetry is ExchangeSymmetry.DISTINGUISHABLE:
         return a11 * a22
-    a12 = amplitude(p1, s, r2, t)
-    a21 = amplitude(p2, s, r1, t)
+    a12 = amplitude(r0, p0, s, r2, t)
+    a21 = amplitude(-r0, -p0, s, r1, t)
     n = overlap(config, t)
     sign = config.symmetry.sign
     return (a11 * a22 + sign * a12 * a21) * _norm_factor(sign, n * n)

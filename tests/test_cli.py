@@ -1,13 +1,17 @@
 """Tests for the command-line interface."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coherentpair
 from coherentpair import cli, dynamics, observables
 
 
@@ -454,3 +458,20 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         # several density times write name_000.ext, name_001.ext, ...
         written = [out] if out.exists() else sorted(Path().glob(f"{out.stem}_*{out.suffix}"))
         assert written and all(path.stat().st_size > 0 for path in written), argv
+
+
+def test_runtime_imports_only_numpy():
+    # the README's dependency claim: scipy, mpmath and hypothesis are test-only
+    src = str(Path(coherentpair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, coherentpair.cli, coherentpair.oracle; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = {name.partition(".")[0] for name in out.split()}
+    assert "numpy" in loaded
+    assert not loaded & {"scipy", "mpmath", "hypothesis", "pytest"}
+
+
+def test_readme_export_count():
+    counts = re.findall(r"exports (\d+) names", _README.read_text())
+    assert counts == [str(len(coherentpair.__all__))]

@@ -480,9 +480,24 @@ def test_integrate_beyond_the_float_range_raises_non_finite():
     # within the step budget, but (omega t)^2 overflows on the first step
     with pytest.raises(NonFinite, match="float range"):
         dynamics.integrate(initial_state(make_config(p=0.5)), 1e294, 1e300)
-    # a tiny width overflows the energy kernel at t = 0
+    # a tiny width spreads so fast that (omega t)^2 overflows on the first step:
+    # by scale covariance this is the t_max = 1e300 run at sigma = 1
     with pytest.raises(NonFinite, match="float range"):
         dynamics.integrate(initial_state(make_config(sigma=1e-150)), 0.01, 0.1)
+
+
+def test_tiny_frozen_width_is_the_classical_collision():
+    # at sigma = 1e-150 every exchange term is exp(-d^2/4 sigma^2) = 0 and
+    # the direct Coulomb term is 1/d: all spins return at t_classical
+    grid = [0.2, 0.6, 1.0]
+    sweeps = [
+        dynamics.sweep_traveltime(make_config(sigma=1e-150, symmetry=sym, frozen=True), grid)
+        for sym in ExchangeSymmetry
+    ]
+    assert sweeps[0] == sweeps[1] == sweeps[2]
+    for rec in sweeps[0]:
+        assert rec.error is None and rec.regime is dynamics.Regime.CLASSICAL_LIKE
+        assert abs(rec.t_coherent / rec.t_classical - 1.0) < 1e-5
 
 
 def test_sweep_huge_horizon_is_an_error_record():

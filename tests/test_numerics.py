@@ -102,7 +102,7 @@ def test_dawson_ratio_large_x_against_mpmath(x, bound):
 
 
 # Whole-line, half-line and 3D quadratures built on integrate_1d; the tests
-# use them as references (test_wavepacket imports integrate_real_line).
+# use them as references (test_pairstate imports integrate_real_line).
 
 def integrate_real_line(f, scale=4.0):
     """Integral of a decaying integrand over the real line, via x = scale atanh(u).

@@ -2,8 +2,7 @@
 
 Subcommands: simulate, sweep-traveltime, quadrupole, density, validate.
 Exit codes: 0 success, 2 usage / invalid configuration, 3 runtime failure.
-All outputs are deterministic functions of the flag set; sweep ordering is
-independent of --jobs.
+All outputs are deterministic functions of the flag set.
 """
 
 from __future__ import annotations
@@ -156,8 +155,7 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
     grid = np.linspace(args.p_min, args.p_max, args.steps)
     records = dynamics.sweep_traveltime(
-        config, grid, dt=args.dt, t_max=args.t_max, jobs=args.jobs,
-        horizon_factor=args.horizon_factor,
+        config, grid, dt=args.dt, t_max=args.t_max, horizon_factor=args.horizon_factor,
     )
     lines = [SWEEP_HEADER]
     for rec in records:
@@ -232,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--p-min", type=_finite, required=True)
     p_sweep.add_argument("--p-max", type=_finite, required=True)
     p_sweep.add_argument("--steps", type=_positive_int, required=True)
-    p_sweep.add_argument("--jobs", type=_positive_int, default=1)
+    # a sweep runs in one process; --jobs is still checked, then ignored
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1, help=argparse.SUPPRESS)
     p_sweep.add_argument(
         "--horizon-factor", type=_positive, default=50.0,
         help="default horizon as a multiple of the free traveltime",

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -316,23 +314,15 @@ def sweep_traveltime(
     p_grid,
     dt: float | None = None,
     t_max: float | None = None,
-    jobs: int = 1,
     horizon_factor: float = 50.0,
 ) -> list[SweepRecord]:
-    """One record per grid momentum; per-record errors never abort the sweep.
+    """One record per grid momentum, in grid order; per-record errors never abort the sweep.
 
     Each point integrates an inward head-on trajectory from the template's
     offset along z (packets at +/- r0) with |p| from the grid; spin, width,
-    ``frozen_width`` and coupling come from the template.  Records are
-    returned in grid order regardless of the worker count, which is
-    ``jobs`` capped at the grid size and the CPU count.
+    ``frozen_width`` and coupling come from the template.
     """
     p_grid = [float(p) for p in p_grid]
     if not p_grid:
         raise ValueError("empty momentum grid")
-    point = partial(_sweep_point, config, dt, t_max, horizon_factor)
-    workers = min(jobs, len(p_grid), os.cpu_count() or 1)
-    if workers <= 1:
-        return [point(p) for p in p_grid]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, p_grid))
+    return [_sweep_point(config, dt, t_max, horizon_factor, p) for p in p_grid]

@@ -94,6 +94,10 @@ def _erf_over_d(rho: float, s: float) -> tuple[float, float]:
     One ``erf`` call serves both; series branches cover small separations.
     """
     z2 = rho / (4.0 * s * s)
+    if z2 == math.inf:
+        # erf(d / 2s) is 1 long before z2 overflows: the point-charge limit 1/d
+        q = 1.0 / math.sqrt(rho)
+        return q, -q / (2.0 * rho)
     if z2 < 1e-6:
         q = (1.0 - z2 / 3.0 + z2 * z2 / 10.0) / (_SQRT_PI * s)
     else:
@@ -119,13 +123,10 @@ def _core(rho: float, pp: float, s: float, sign: int, kappa: float):
     d_term = kappa * q
     d_term_drho = kappa * dq
 
-    if sign == 0:
-        parts = (pp, uncert, 0.0, d_term, 0.0)
-        return parts, d_term_drho, 1.0
-
-    e_r = math.exp(-rho / (4.0 * s2))
+    e_r = math.exp(-rho / (4.0 * s2)) if sign else 0.0
     if e_r == 0.0:
-        # every exchange term carries e_r, so all vanish; b below need not be finite
+        # every exchange term carries e_r, so all vanish (distinguishable packets
+        # have none); b below need not be finite
         return (pp, uncert, 0.0, d_term, 0.0), d_term_drho, 1.0
     g = math.exp(-rho / (4.0 * s2) - 4.0 * s2 * pp)
     den = 1.0 + sign * g

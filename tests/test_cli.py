@@ -461,7 +461,8 @@ def test_readme_commands_run(tmp_path, monkeypatch):
 
 
 def test_runtime_imports_only_numpy():
-    # the README's dependency claim: scipy, mpmath and hypothesis are test-only
+    # the README's dependency claim: scipy, mpmath and hypothesis are test-only;
+    # a sweep runs in this process, so no process pool is imported either
     src = str(Path(coherentpair.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, coherentpair.cli, coherentpair.oracle; print(*sorted(sys.modules))"
@@ -469,7 +470,8 @@ def test_runtime_imports_only_numpy():
                          text=True, check=True).stdout
     loaded = {name.partition(".")[0] for name in out.split()}
     assert "numpy" in loaded
-    assert not loaded & {"scipy", "mpmath", "hypothesis", "pytest"}
+    assert not loaded & {"scipy", "mpmath", "hypothesis", "pytest", "concurrent",
+                         "multiprocessing"}
 
 
 def test_readme_export_count():

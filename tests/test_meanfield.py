@@ -74,6 +74,16 @@ def test_point_charge_limit():
     assert abs(bd.coulomb_exchange) < 1e-12
 
 
+@pytest.mark.parametrize("rho", [7e8, 8e8, 1e9, 1e200])
+def test_erf_over_d_is_the_point_charge_past_overflow(rho):
+    # at s = 1e-150, rho / 4 s^2 overflows to inf between rho = 7e8 and 8e8;
+    # on both sides q = erf(d / 2s) / d is 1/d and dq/drho is -1 / 2 d^3
+    q, dq = meanfield._erf_over_d(rho, 1e-150)
+    d = math.sqrt(rho)
+    assert abs(q * d - 1.0) < 1e-15
+    assert abs(dq * (-2.0 * d ** 3) - 1.0) < 1e-15
+
+
 def test_coincident_coulomb_anchor():
     state = PhaseState(np.zeros(3), np.zeros(3), 0.0, frozen_config())
     bd = avg_hamiltonian(state)

@@ -177,14 +177,15 @@ def _cmd_density(args) -> int:
     if times[-1] > 0:
         # at least two steps, so that a time below dt still gives t_max > dt
         traj = dynamics.integrate(state, args.dt, max(times[-1], args.dt) + args.dt)
+    # an extent near the float limit makes every cell centre inf and 0 * inf
+    # nan: one error before any file opens, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        snaps = [state if t == 0.0 else traj.state(int(np.argmin(np.abs(traj.t - t)))) for t in times]
+        grids = [observables.density_grid(s, Plane(args.plane), args.extent, args.n) for s in snaps]
+    if not all(np.isfinite(grid).all() for grid in grids):
+        raise NonFinite(f"the density grid left the float range at extent={_fmt(args.extent)}")
     out = Path(args.output)
-    for idx, t in enumerate(times):
-        if t == 0.0:
-            snap = state
-        else:
-            i = int(np.argmin(np.abs(traj.t - t)))
-            snap = traj.state(i)
-        grid = observables.density_grid(snap, Plane(args.plane), args.extent, args.n)
+    for idx, (t, grid) in enumerate(zip(times, grids)):
         if len(times) == 1:
             path = out
         else:

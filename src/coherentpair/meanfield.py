@@ -53,10 +53,6 @@ class PhaseState:
         """Packet width sigma_x(t) of the config."""
         return self.config.width(self.t)
 
-    @property
-    def separation(self) -> float:
-        return float(np.linalg.norm(self.r))
-
 
 def initial_state(config: PairConfig) -> PhaseState:
     """Phase state at culmination: r = 2 r0 (packets at +/- r0), p = p0."""
@@ -170,43 +166,3 @@ def avg_hamiltonian(state: PhaseState) -> EnergyBreakdown:
     pp = float(np.dot(state.p, state.p))
     parts, _, _ = _core(rho, pp, state.width, state.config.symmetry.sign, state.config.coupling)
     return EnergyBreakdown(*parts)
-
-
-def coulomb_bound(config: PairConfig) -> float:
-    """Max over r of the Coulomb part at width sigma and p0; finite for sigma > 0.
-
-    The Coulomb part depends on r only through |r|, so a scalar scan over
-    |r| in [0, 10 sigma] followed by golden-section refinement suffices.
-    """
-    if config.coupling == 0.0:
-        return 0.0
-    s = config.sigma
-    pp = float(np.dot(config.p0, config.p0))
-    sign = config.symmetry.sign
-
-    def val(d: float) -> float:
-        parts, _, _ = _core(d * d, pp, s, sign, config.coupling)
-        return parts[3] + parts[4]
-
-    grid = np.linspace(0.0, 10.0 * config.sigma, 201)
-    values = [val(d) for d in grid]
-    k = int(np.argmax(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = val(c), val(d)
-    for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = val(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = val(d)
-        if b - a < 1e-12 * (1.0 + config.sigma):
-            break
-    return max(fc, fd, values[k])

@@ -93,56 +93,6 @@ def quadrupole_tensor(state: PhaseState) -> QuadrupoleTensor:
     )
 
 
-@dataclass(frozen=True)
-class R0Estimate:
-    """Packet-offset magnitude recovered from the tensor diagonal."""
-
-    value: float
-    spread: float
-
-
-def invert_r0(tensor: QuadrupoleTensor) -> R0Estimate:
-    """Recover the packet offset in the well-separated (N -> 0) regime.
-
-    The three estimators sqrt(-d_xx/2), sqrt(-d_yy/2), sqrt(d_zz)/2 must
-    agree there; their relative spread is returned as a diagnostic.
-    Requires d_xx < 0, d_yy < 0, d_zz > 0 (offset along z).
-    """
-    if not (tensor.d_xx < 0 and tensor.d_yy < 0 and tensor.d_zz > 0):
-        raise PreconditionViolated("tensor signs outside the N -> 0 regime")
-    est = (
-        math.sqrt(-0.5 * tensor.d_xx),
-        math.sqrt(-0.5 * tensor.d_yy),
-        0.5 * math.sqrt(tensor.d_zz),
-    )
-    mean = sum(est) / 3.0
-    spread = (max(est) - min(est)) / mean if mean > 0 else math.inf
-    return R0Estimate(mean, spread)
-
-
-def invert_p(tensor: QuadrupoleTensor, sigma: float) -> tuple[float, float]:
-    """Recover (p0x, p0z) in the strongly overlapping (N -> 1) regime.
-
-    p0x comes from the diagonal combination -(d_zz + 2 d_xx)/3, which is
-    free of the offset contribution; p0z then follows from the d_xz closed
-    form, p0z = 3 p0x d_xz / (d_zz + 2 d_xx), which is exact for the
-    symmetric pair.  Signs: p0x is returned non-negative, p0z carries the
-    sign of the cross moment.
-    """
-    comb = tensor.d_zz + 2.0 * tensor.d_xx
-    scale = tensor.norm
-    c = -comb / 3.0
-    if c < -1e-9 * max(scale, 1e-300):
-        raise PreconditionViolated("-(d_zz + 2 d_xx) must be non-negative")
-    if c <= 1e-14 * max(scale, 1e-300) or c <= 0.0:
-        if abs(tensor.d_xz) > 1e-9 * max(scale, 1e-300):
-            raise PreconditionViolated("vanishing p0x with non-zero d_xz")
-        return 0.0, 0.0
-    p0x = math.sqrt(c) / (2.0 * sigma * sigma)
-    p0z = 3.0 * p0x * tensor.d_xz / comb
-    return p0x, p0z
-
-
 class SeriesKind(enum.Enum):
     MONOTONE_AFTER_TRANSIENT = "monotone"
     OSCILLATORY = "oscillatory"

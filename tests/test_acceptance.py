@@ -11,9 +11,12 @@ import numpy as np
 
 from coherentpair import cli, dynamics, observables, oracle
 from coherentpair.dynamics import Outcome, Regime
-from coherentpair.meanfield import PhaseState, avg_hamiltonian, coulomb_bound, initial_state
-from coherentpair.observables import SeriesKind, detect, invert_p, invert_r0, tensor_from_params
+from coherentpair.meanfield import PhaseState, avg_hamiltonian, initial_state
+from coherentpair.observables import SeriesKind, detect, tensor_from_params
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
+
+from test_meanfield import coulomb_bound
+from test_observables import invert_p, invert_r0
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -276,6 +276,8 @@ _SWEEP = ["sweep-traveltime", "--p-min", "0.2", "--p-max", "0.4", "--steps", "2"
     (["density", "--times", "1e300", "--dt", "1e294"], 3, "runtime failure:"),
     # no stepping: the density normalisation (2 pi sigma^2)^-1.5 overflows
     (["density", "--sigma", "1e-150", "--times", "0"], 3, "runtime failure:"),
+    # 2 extent / n overflows: every cell centre is inf, and 0 * inf leaves nan
+    (["density", "--extent", "1e308", "--n", "16", "--times", "0"], 3, "runtime failure:"),
 ])
 def test_extreme_finite_input_fails_with_one_line(tmp_path, capsys, args, code, prefix):
     out = tmp_path / "x.out"
@@ -291,6 +293,26 @@ def test_density_normalization_overflow_names_the_width(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime failure:") and "1e-150" in err[0]
     assert not out.exists()
+
+
+def test_density_extent_overflow_names_the_extent(tmp_path, capsys):
+    out = tmp_path / "x.out"
+    args = ["density", "--extent", "1e308", "--n", "16", "--times", "0", "0.5"]
+    assert run(args + ["--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime failure:") and "extent=1e+308" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extent", ["1e155", "1e200"])
+def test_density_huge_finite_extent_writes_zeros_quietly(tmp_path, capsys, extent):
+    # the cell centres square to inf, so the density is exactly 0 everywhere
+    out = tmp_path / "x.out"
+    assert run(["density", "--extent", extent, "--n", "16", "--times", "0",
+                "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    grid = np.loadtxt(out)
+    assert grid.shape == (16, 16) and not grid.any()
 
 
 @pytest.mark.parametrize("command", ["simulate", "quadrupole"])

@@ -145,7 +145,7 @@ def test_integrate_matches_the_array_rk4_bit_for_bit(symmetry, frozen, stop):
                       r0=np.array(r0), p0=np.array(p0))
         state = initial_state(cfg)
         t_free = dynamics.free_traveltime(10.0, 0.6)
-        d0 = state.separation if stop else None
+        d0 = float(np.linalg.norm(state.r)) if stop else None
         args = (state, t_free / 200.0, 2.5 * t_free, d0)
         traj = dynamics.integrate(*args)
         for got, want in zip((traj.t, traj.r, traj.p, traj.sigma), integrate_arrays(*args)):

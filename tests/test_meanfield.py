@@ -4,15 +4,40 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from coherentpair import meanfield, numerics, oracle
 from coherentpair.errors import DegenerateState
-from coherentpair.meanfield import PhaseState, avg_hamiltonian, coulomb_bound, initial_state
+from coherentpair.meanfield import PhaseState, avg_hamiltonian, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 
 from test_numerics import central_gradient
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def coulomb_bound(config):
+    """Max over r of the Coulomb part at width sigma and p0; finite for sigma > 0.
+
+    The Coulomb part depends on r only through |r|, so a scan over |r| in
+    [0, 10 sigma] brackets the maximum, which bounded Brent minimisation of
+    the negated part then refines.
+    """
+    if config.coupling == 0.0:
+        return 0.0
+    pp = float(np.dot(config.p0, config.p0))
+
+    def val(d):
+        parts, _, _ = meanfield._core(d * d, pp, config.sigma, config.symmetry.sign,
+                                      config.coupling)
+        return parts[3] + parts[4]
+
+    grid = np.linspace(0.0, 10.0 * config.sigma, 201)
+    values = [val(d) for d in grid]
+    k = int(np.argmax(values))
+    res = minimize_scalar(lambda d: -val(d), bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 200)]),
+                          method="bounded", options={"xatol": 1e-12 * (1.0 + config.sigma)})
+    return max(-res.fun, values[k])
 
 
 # Central-difference gradients of the total energy, the reference for the
@@ -199,7 +224,7 @@ def test_initial_state_convention():
     state = initial_state(cfg)
     np.testing.assert_allclose(state.r, [0.0, 0.0, 10.0])
     np.testing.assert_allclose(state.p, [0.0, 0.0, -0.5])
-    assert state.separation == 10.0
+    assert float(np.linalg.norm(state.r)) == 10.0
 
 
 def test_degenerate_antisymmetric_raises():

@@ -121,12 +121,16 @@ def _finite_table(columns, sigma: float) -> np.ndarray:
 
 def _cmd_simulate(args) -> int:
     traj, tensor = _run_trajectory(args)
-    energy = traj.energy
-    table = _finite_table((
-        traj.t, traj.r, traj.p, traj.sigma, traj.overlap,
-        energy[:, 5], energy[:, 3] + energy[:, 4],
-        tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz,
-    ), args.sigma)
+    # a huge momentum overflows |p|^2 in the overlap and energy columns;
+    # _finite_table reports it as one error, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = traj.energy
+        columns = (
+            traj.t, traj.r, traj.p, traj.sigma, traj.overlap,
+            energy[:, 5], energy[:, 3] + energy[:, 4],
+            tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz,
+        )
+    table = _finite_table(columns, args.sigma)
     with Path(args.output).open("w") as fh:
         fh.write(SIMULATE_HEADER + "\n")
         _write_rows(fh, table, ",")

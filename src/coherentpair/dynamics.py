@@ -3,22 +3,25 @@
 The canonical equations dr/dt = dE/dp, dp/dt = -dE/dr are integrated with
 fixed-step RK4 at the config's width sigma_x(t), which spreads freely
 unless it is frozen, so the system is non-autonomous unless the width is
-frozen.  Separation is d(t) = |r(t)| and the traveltime is the first
-return to the initial separation after the approach.
+frozen.  The RK4 stages run fused on Python floats, four kernel calls and
+two width evaluations per step, and the stage-1 call at each sample also
+gives that sample's energy terms, so reading a trajectory's energies costs
+one more kernel call.  Separation is d(t) = |r(t)| and the traveltime is
+the first return to the initial separation after the approach.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import meanfield, numerics
 from .errors import CoherentPairError, MalformedTrajectory, NonFinite
-from .meanfield import EnergyBreakdown, PhaseState, _core
+from .meanfield import PhaseState, _core
 from .pairstate import PairConfig, overlap_from_params
 
 # largest t_max / dt, the RK4 step count, one ``integrate`` call accepts; it
@@ -35,7 +38,9 @@ class Trajectory:
     """Path of one integration run: r, p and the width at every sample time.
 
     ``overlap`` and ``energy`` are derived from the path when first read,
-    then kept.
+    then kept.  ``stage1`` holds the energy terms of every sample that
+    started an RK4 step (all but the last), as the step's stage-1 ``_core``
+    call returned them; ``energy`` reuses them and computes the rest.
     """
 
     config: PairConfig
@@ -43,6 +48,7 @@ class Trajectory:
     r: np.ndarray
     p: np.ndarray
     sigma: np.ndarray
+    stage1: list = field(repr=False)
 
     @property
     def separation(self) -> np.ndarray:
@@ -65,15 +71,18 @@ class Trajectory:
         """
         sign = self.config.symmetry.sign
         kappa = self.config.coupling
-        rows = []
-        columns = zip(_squares(self.r).tolist(), _squares(self.p).tolist(), self.sigma.tolist())
-        for rho, pp, s in columns:
+        rows = list(self.stage1)
+        n = len(rows)
+        rest = zip(_squares(self.r[n:]).tolist(), _squares(self.p[n:]).tolist(),
+                   self.sigma[n:].tolist())
+        for rho, pp, s in rest:
             # meanfield._core, not this module's alias: the benchmark tracer
             # counts energy and right-hand-side calls apart
-            bd = EnergyBreakdown(*meanfield._core(rho, pp, s, sign, kappa)[0])
-            rows.append((bd.kinetic_classical, bd.kinetic_uncertainty, bd.kinetic_exchange,
-                         bd.coulomb_direct, bd.coulomb_exchange, bd.total))
-        return np.array(rows)
+            rows.append(meanfield._core(rho, pp, s, sign, kappa)[0])
+        terms = np.array(rows)
+        # EnergyBreakdown.total: the five terms summed left to right
+        total = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3] + terms[:, 4]
+        return np.column_stack((terms, total))
 
 
 def _squares(v: np.ndarray) -> np.ndarray:
@@ -119,6 +128,12 @@ def integrate(
     central differences of the energy.  If ``stop_at_separation`` is given,
     integration ends on the first sample back at or beyond it after having
     dipped below, the sample on which ``traveltime`` finds the return.
+
+    The stages are fused on six local floats in the operation order of
+    ``numerics.rk4_step``, so the samples match it bit for bit.  Each step
+    evaluates the width twice, at t + dt/2 and at t + dt (the next
+    sample's width), and keeps the energy terms of its stage-1 ``_core``
+    call for ``Trajectory.energy``.
     """
     if dt <= 0 or t_max <= dt:
         raise ValueError("need dt > 0 and t_max > dt")
@@ -129,47 +144,79 @@ def integrate(
     sign = config.symmetry.sign
     kappa = config.coupling
 
-    def deriv(y, t: float) -> tuple[float, ...]:
-        """dy/dt for y = (rx, ry, rz, px, py, pz), Python floats in and out."""
-        rx, ry, rz, px, py, pz = y
-        rho = rx * rx + ry * ry + rz * rz
-        pp = px * px + py * py + pz * pz
-        _, de_drho, de_dpp = _core(rho, pp, width(t), sign, kappa)
+    def rates(rx, ry, rz, px, py, pz, s):
+        """Energy terms at width s and dy/dt for y = (rx, ry, rz, px, py, pz)."""
+        # _core is read from the module at every call: the benchmark tracer
+        # counts right-hand-side calls by patching it there
+        terms, de_drho, de_dpp = _core(
+            rx * rx + ry * ry + rz * rz, px * px + py * py + pz * pz, s, sign, kappa
+        )
         gr = 2.0 * de_drho
         gp = 2.0 * de_dpp
-        return (gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz)
+        return terms, gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz
 
     n_steps = int(round(t_max / dt))
-    y = tuple(initial.r.tolist() + initial.p.tolist())
-
-    ts = [0.0]
-    ys = [y]
-    dipped = False
+    h = 0.5 * dt
+    sixth = dt / 6.0
+    rx, ry, rz = initial.r.tolist()
+    px, py, pz = initial.p.tolist()
     t = 0.0
+    ts = [t]
+    ys = [(rx, ry, rz, px, py, pz)]
+    stage1 = []
+    dipped = False
     try:
+        s = width(t)
+        sigmas = [s]
         for _ in range(n_steps):
-            y = numerics.rk4_step(y, t, dt, deriv)
-            t += dt
+            terms, a1, a2, a3, a4, a5, a6 = rates(rx, ry, rz, px, py, pz, s)
+            stage1.append(terms)
+            s_half = width(t + h)
+            _, b1, b2, b3, b4, b5, b6 = rates(
+                rx + h * a1, ry + h * a2, rz + h * a3, px + h * a4, py + h * a5, pz + h * a6,
+                s_half,
+            )
+            _, c1, c2, c3, c4, c5, c6 = rates(
+                rx + h * b1, ry + h * b2, rz + h * b3, px + h * b4, py + h * b5, pz + h * b6,
+                s_half,
+            )
+            t_next = t + dt
+            s = width(t_next)
+            _, d1, d2, d3, d4, d5, d6 = rates(
+                rx + dt * c1, ry + dt * c2, rz + dt * c3,
+                px + dt * c4, py + dt * c5, pz + dt * c6,
+                s,
+            )
+            y = (
+                rx + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                ry + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                rz + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                px + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+                py + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+                pz + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+            )
+            if not all(map(math.isfinite, y)):
+                raise NonFinite(f"the RK4 step from t={t:.6g} produced a non-finite state")
+            rx, ry, rz, px, py, pz = y
+            t = t_next
             ts.append(t)
             ys.append(y)
+            sigmas.append(s)
             if stop_at_separation is not None:
                 # the expression Trajectory.separation evaluates, bit for bit
-                rx, ry, rz = y[:3]
                 d = math.sqrt(rx * rx + ry * ry + rz * rz)
                 if d < stop_at_separation:
                     dipped = True
                 elif dipped:
                     break
-        sarr = np.array([width(tv) for tv in ts])
     except ArithmeticError as exc:
         # a width or energy term left the float range: huge t, tiny or huge sigma
         raise NonFinite(
             f"the RK4 step from t={t:.6g} left the float range ({type(exc).__name__})"
         ) from exc
 
-    tarr = np.array(ts)
     yarr = np.array(ys)
-    return Trajectory(config, tarr, yarr[:, :3], yarr[:, 3:], sarr)
+    return Trajectory(config, np.array(ts), yarr[:, :3], yarr[:, 3:], np.array(sigmas), stage1)
 
 
 def traveltime(traj: Trajectory) -> TraveltimeResult:

@@ -78,9 +78,9 @@ def tensor_from_params(c, p, s, sign: int) -> QuadrupoleTensor:
             raise DegenerateState("quadrupole tensor undefined at N -> 1")
     w = 8.0 * s2 * s2 * g
     entries = (
-        (6.0 * cx ** 2 - 2.0 * c2 + w * (p2 - 3.0 * px ** 2)) / den,
-        (6.0 * cy ** 2 - 2.0 * c2 + w * (p2 - 3.0 * py ** 2)) / den,
-        (6.0 * cz ** 2 - 2.0 * c2 + w * (p2 - 3.0 * pz ** 2)) / den,
+        (6.0 * (cx * cx) - 2.0 * c2 + w * (p2 - 3.0 * (px * px))) / den,
+        (6.0 * (cy * cy) - 2.0 * c2 + w * (p2 - 3.0 * (py * py))) / den,
+        (6.0 * (cz * cz) - 2.0 * c2 + w * (p2 - 3.0 * (pz * pz))) / den,
         (2.0 * cx * cz - w * px * pz) / den,
     )
     return QuadrupoleTensor(*(float(e) if np.ndim(e) == 0 else e for e in entries))

@@ -316,21 +316,41 @@ def test_density_huge_finite_extent_writes_zeros_quietly(tmp_path, capsys, exten
 
 
 @pytest.mark.parametrize("command", ["simulate", "quadrupole"])
-@pytest.mark.parametrize("sigma, pz, named", [
+@pytest.mark.parametrize("flags, named", [
     # sigma^4 overflows in the tensor, and inf * 0 leaves nan
-    ("1e80", "0", "sigma=1e+80"),
-    ("1e80", "-0.5", "sigma=1e+80"),
-    ("1e120", "0", "sigma=1e+120"),
+    pytest.param(["--sigma", "1e80", "--pz", "0"], "sigma=1e+80", id="1e80-0-sigma=1e+80"),
+    pytest.param(["--sigma", "1e80", "--pz", "-0.5"], "sigma=1e+80", id="1e80--0.5-sigma=1e+80"),
+    pytest.param(["--sigma", "1e120", "--pz", "0"], "sigma=1e+120", id="1e120-0-sigma=1e+120"),
     # the energy and its gradient stay finite, the tensor does not
-    ("1e120", "-0.5", "sigma=1e+120"),
+    pytest.param(
+        ["--sigma", "1e120", "--pz", "-0.5"], "sigma=1e+120", id="1e120--0.5-sigma=1e+120"
+    ),
+    # the steps stay finite, |p|^2 overflows in the overlap and energy columns
+    pytest.param(["--coupling", "1e306"], "sigma=1", id="coupling-1e306"),
+    pytest.param(["--coupling", "1e200"], "sigma=1", id="coupling-1e200"),
 ])
-def test_non_finite_table_fails_before_writing(tmp_path, capsys, command, sigma, pz, named):
+def test_non_finite_table_fails_before_writing(tmp_path, capsys, command, flags, named):
     out = tmp_path / "x.csv"
-    argv = [command, "--sigma", sigma, "--pz", pz, "--t-max", "1", "--dt", "0.1"]
+    argv = [command, *flags, "--t-max", "1", "--dt", "0.1"]
     assert run(argv + ["--output", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime failure:")
     assert "float range" in err[0] and named in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spin", ["antiparallel", "parallel", "distinguishable"])
+@pytest.mark.parametrize("pz", ["-1e160", "-1e308"])
+def test_non_finite_state_fails_before_writing(tmp_path, capsys, spin, pz):
+    out = tmp_path / "x.csv"
+    argv = ["simulate", f"--pz={pz}", "--spin", spin, "--dt", "0.1", "--t-max", "1"]
+    assert run(argv + ["--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime failure:")
+    # distinguishable packets have no exchange terms: at -1e160 the state
+    # stays finite and only |p|^2 in the output table overflows
+    if spin != "distinguishable" or pz == "-1e308":
+        assert err[0] == "runtime failure: the RK4 step from t=0 produced a non-finite state"
     assert not out.exists()
 
 

@@ -172,9 +172,10 @@ def per_sample_columns(traj):
     return overlap, energy
 
 
+@pytest.mark.parametrize("stop", [False, True], ids=["full", "stop"])
 @pytest.mark.parametrize("symmetry", list(ExchangeSymmetry), ids=lambda sym: sym.value)
 @pytest.mark.parametrize("frozen", [False, True])
-def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, frozen):
+def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, frozen, stop):
     calls = []
     core = meanfield._core
 
@@ -184,13 +185,18 @@ def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, fr
 
     monkeypatch.setattr(meanfield, "_core", counted)
     cfg = make_config(p=0.3, symmetry=symmetry, frozen=frozen)
-    traj = dynamics.integrate(initial_state(cfg), 0.1, 12.0)
+    state = initial_state(cfg)
+    d0 = float(np.linalg.norm(state.r)) if stop else None
+    traj = dynamics.integrate(state, 0.1, 100.0 if stop else 12.0, d0)
+    if stop:  # the return ends the run before its 1000 steps
+        assert traj.t.size < 1000
     assert calls == []
     overlap, energy = per_sample_columns(traj)
     calls.clear()
     assert np.array_equal(traj.energy, energy)
-    assert len(calls) == traj.t.size
-    assert traj.energy is traj.energy and len(calls) == traj.t.size
+    # integrate kept every sample's stage-1 energy terms but the last one's
+    assert len(calls) <= 1
+    assert traj.energy is traj.energy and len(calls) <= 1
     assert np.array_equal(traj.overlap, overlap)
     np.testing.assert_array_equal(traj.sigma, [cfg.width(float(t)) for t in traj.t])
 

@@ -54,11 +54,17 @@ def test_dawson_against_scipy():
 
 def test_dawson_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
+    # where the lookup switches nodes k / 10 -> (k + 1) / 10, and either side
+    switches = [(k + 0.5) / 10 for k in range(80)]
     xs = np.unique(np.concatenate([
         np.geomspace(1e-8, 40.0, 2001),
         np.linspace(0.2, 8.0, 3901),
-        np.linspace(0.19, 0.21, 401),  # series / Rybicki edge
-        np.linspace(7.99, 8.01, 401),  # Rybicki / asymptotic edge
+        np.linspace(0.19, 0.21, 401),
+        np.linspace(7.99, 8.01, 401),  # table / asymptotic edge
+        switches,
+        [math.nextafter(m, 0.0) for m in switches],
+        [math.nextafter(m, math.inf) for m in switches],
+        [8.0, math.nextafter(8.0, math.inf)],
     ]))
     worst = 0.0
     for x in xs.tolist():
@@ -68,7 +74,7 @@ def test_dawson_against_mpmath():
         val = numerics.dawson(x)
         assert numerics.dawson(-x) == -val
         worst = max(worst, abs(val - ref) / ref)
-    assert worst <= 4e-15
+    assert worst <= 1e-15
 
 
 def test_dawson_ratio_limits():

@@ -185,8 +185,11 @@ def tensor_per_point(c, p, s, sign):
     c2 = float(np.dot(c, c))
     p2 = float(np.dot(p, p))
 
+    # squares as products: libm pow (a numpy scalar's ** 2) can miss the
+    # correctly rounded c * c by one ulp
     def diag(ax):
-        return (6.0 * c[ax] ** 2 - 2.0 * c2 + 8.0 * s2 * s2 * g * (p2 - 3.0 * p[ax] ** 2)) / den
+        w = 8.0 * s2 * s2 * g
+        return (6.0 * (c[ax] * c[ax]) - 2.0 * c2 + w * (p2 - 3.0 * (p[ax] * p[ax]))) / den
 
     d_xz = (2.0 * c[0] * c[2] - 8.0 * s2 * s2 * g * p[0] * p[2]) / den
     return observables.QuadrupoleTensor(diag(0), diag(1), diag(2), d_xz)

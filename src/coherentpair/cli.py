@@ -112,10 +112,15 @@ def _run_trajectory(args):
         return traj, observables.quadrupole_timeseries(traj)
 
 
-def _finite_table(columns, sigma: float) -> np.ndarray:
+def _finite_table(columns, header: str, sigma: float) -> np.ndarray:
     table = np.column_stack(columns)
-    if not np.isfinite(table).all():
-        raise NonFinite(f"the output table left the float range at width sigma={_fmt(sigma)}")
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        # the first column of the header that holds a nan or inf
+        name = header.split(",")[int(np.argmin(finite))]
+        raise NonFinite(
+            f"the output table left the float range in column {name} at width sigma={_fmt(sigma)}"
+        )
     return table
 
 
@@ -130,7 +135,7 @@ def _cmd_simulate(args) -> int:
             energy[:, 5], energy[:, 3] + energy[:, 4],
             tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz,
         )
-    table = _finite_table(columns, args.sigma)
+    table = _finite_table(columns, SIMULATE_HEADER, args.sigma)
     with Path(args.output).open("w") as fh:
         fh.write(SIMULATE_HEADER + "\n")
         _write_rows(fh, table, ",")
@@ -139,7 +144,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_quadrupole(args) -> int:
     traj, tensor = _run_trajectory(args)
-    table = _finite_table((traj.t, tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz), args.sigma)
+    table = _finite_table(
+        (traj.t, tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz), QUADRUPOLE_HEADER, args.sigma
+    )
     verdict = observables.detect(tensor)
     with Path(args.output).open("w") as fh:
         fh.write(QUADRUPOLE_HEADER + "\n")

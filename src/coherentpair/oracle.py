@@ -8,7 +8,9 @@ separable through the identity 1/|u| = (2/sqrt(pi)) int_0^inf
 exp(-t^2 |u|^2) dt.  Its per-axis factor multiplies the two particle-1
 Gaussians by the Gaussian product rule (Boys 1950) into one real Gaussian
 and a plane-wave phase, so the quadrature runs in real arithmetic; that is
-algebra of the explicit exponents, not a closed form under test.
+algebra of the explicit exponents, not a closed form under test.  Each
+distinct per-axis Coulomb channel is integrated once per engine, and a
+combo that reuses one still counts the rule's nodes in ``nodes_used``.
 Everything is deterministic: fixed node counts, fixed seed lists, no Monte
 Carlo.  One expansion over particle orders (``_Engine._pair_sum``) serves
 the product, symmetric and antisymmetric states.
@@ -93,12 +95,12 @@ _AXIS_NODES = 160
 
 
 class _Engine:
-    """Caches the per-axis 1D matrix elements of one pair geometry."""
+    """Caches the per-axis 1D matrix elements and Coulomb channels of one pair geometry."""
 
     def __init__(self, geom: _PairGeometry):
         self.geom = geom
         self.nodes_used = 0
-        self._cache: dict[tuple, complex] = {}
+        self._cache: dict[tuple, object] = {}
 
     def _grid(self, a: int, b: int, ax: int) -> tuple[np.ndarray, np.ndarray]:
         s, ca, _ = self.geom.factor(a, ax)
@@ -232,10 +234,42 @@ class _Engine:
         def m_of_u(u: np.ndarray) -> np.ndarray:
             d = offset + u[..., None]
             self.nodes_used += d.size
-            re_im = np.exp(scale * d * d) @ inner_re_im
+            # the Gaussian block exp(scale d^2), built in one buffer
+            g = scale * d
+            g *= d
+            np.exp(g, out=g)
+            re_im = g @ inner_re_im
             return (re_im[..., 0] + 1j * re_im[..., 1]) * np.exp(1j * dk * u)
 
         return u0, m_of_u
+
+    def _axis_factors(self, combo, ax: int, t_scaled, yy: np.ndarray, gauss_y: np.ndarray):
+        """Evaluated factors of one axis channel, each distinct channel once.
+
+        Returns (u0, (uu, wu m(uu)), [K(t) per scaled t segment]).  The key
+        holds every number the channel reads: s and the centre and momentum
+        of its four packet factors, so combos whose factors coincide on this
+        axis (a y axis with no offset or momentum, or the coincident anchor)
+        share one evaluation.  Float keys treat 0.0 and -0.0 as equal, which
+        only flips the sign of zeros inside the channel.  A hit adds the same
+        node count as the miss that filled it.
+        """
+        (a1, a2), (b1, b2) = combo
+        key = ("axis", self.geom.s,
+               *(v for which in (a1, b1, a2, b2) for v in self.geom.factor(which, ax)[1:]))
+        entry = self._cache.get(key)
+        if entry is None:
+            start = self.nodes_used
+            s = self.geom.s
+            u0, m_of_u = self._axis_channel(combo, ax)
+            uu, wu = gauss_legendre(96, u0 - 14.0 * s, u0 + 14.0 * s)
+            # K(t) = (1/t) int m(y/t) exp(-y^2) dy on each scaled segment
+            scaled = [(m_of_u(yy[None, :] / tn[:, None]) @ gauss_y) / tn for tn in t_scaled]
+            factors = (u0, (uu, wu * m_of_u(uu)), scaled)
+            entry = self._cache[key] = (factors, self.nodes_used - start)
+        else:
+            self.nodes_used += entry[1]
+        return entry[0]
 
     def coulomb_combo(self, combo) -> float:
         """int conj(Psi_bra) Psi_ket / |x1 - x2| over both particles.
@@ -244,36 +278,33 @@ class _Engine:
         factor axis-separable.  Small t is handled on a fixed u grid; for
         t above ~1/(2 s) the kernel is narrower than that grid resolves,
         so the substitution u = y/t is integrated on a fixed y grid
-        instead (exact for every t).  The t tail uses tau = 1/t.
+        instead (exact for every t).  The t tail uses tau = 1/t.  Each
+        distinct axis channel is integrated once per engine
+        (``_axis_factors``); ``nodes_used`` counts the rule's nodes per
+        channel, hit or miss.
         """
         s = self.geom.s
-        channels = [self._axis_channel(combo, ax) for ax in range(3)]
-        u_extent = max(abs(u0) for u0, _ in channels) + 16.0 * s
-
-        # fixed-grid data for the small-t segments
-        fixed = []
-        for u0, m_of_u in channels:
-            uu, wu = gauss_legendre(96, u0 - 14.0 * s, u0 + 14.0 * s)
-            fixed.append((uu, wu * m_of_u(uu)))
-
-        def kernel_fixed(tnodes: np.ndarray) -> np.ndarray:
-            prod = np.ones(tnodes.size, dtype=complex)
-            for uu, wm in fixed:
-                prod *= np.exp(-np.outer(tnodes, uu) ** 2) @ wm
-            return prod
+        t_switch = 0.5 / s
+        t_hi = 24.0 / s
+        # scaled segments up to t_hi, then the 1/t tail
+        segments = [gauss_legendre(32, lo, hi) for lo, hi in ((t_switch, 4.0 / s), (4.0 / s, t_hi))]
+        tau, wtau = gauss_legendre(32, 0.0, 1.0 / t_hi)
+        mask = tau > 0
+        tt = 1.0 / tau[mask]
+        segments.append((tt, wtau[mask] * tt * tt))
 
         yy, wy = gauss_legendre(48, -7.0, 7.0)
         gauss_y = np.exp(-yy * yy) * wy
+        t_scaled = [tn for tn, _ in segments]
+        channels = [self._axis_factors(combo, ax, t_scaled, yy, gauss_y) for ax in range(3)]
+        u_extent = max(abs(u0) for u0, _, _ in channels) + 16.0 * s
 
-        def kernel_scaled(tnodes: np.ndarray) -> np.ndarray:
-            # K(t) = (1/t) int m(y/t) exp(-y^2) dy per axis
+        def kernel_fixed(tnodes: np.ndarray) -> np.ndarray:
             prod = np.ones(tnodes.size, dtype=complex)
-            u_grid = yy[None, :] / tnodes[:, None]
-            for _, m_of_u in channels:
-                prod *= (m_of_u(u_grid) @ gauss_y) / tnodes
+            for _, (uu, wm), _ in channels:
+                prod *= np.exp(-np.outer(tnodes, uu) ** 2) @ wm
             return prod
 
-        t_switch = 0.5 / s
         acc = 0.0 + 0.0j
         # small-t segments on the fixed grid
         breaks = sorted({0.0, min(0.5 / u_extent, t_switch), t_switch})
@@ -282,15 +313,11 @@ class _Engine:
                 continue
             tn, tw = gauss_legendre(32, lo, hi)
             acc += np.sum(tw * kernel_fixed(tn))
-        # scaled segments up to t_hi, then the 1/t tail
-        t_hi = 24.0 / s
-        for lo, hi in ((t_switch, 4.0 / s), (4.0 / s, t_hi)):
-            tn, tw = gauss_legendre(32, lo, hi)
-            acc += np.sum(tw * kernel_scaled(tn))
-        tau, wtau = gauss_legendre(32, 0.0, 1.0 / t_hi)
-        mask = tau > 0
-        tt = 1.0 / tau[mask]
-        acc += np.sum((wtau[mask] * tt * tt) * kernel_scaled(tt))
+        for i, (tn, tw) in enumerate(segments):
+            prod = np.ones(tn.size, dtype=complex)
+            for _, _, scaled in channels:
+                prod *= scaled[i]
+            acc += np.sum(tw * prod)
         return float((2.0 / _SQRT_PI) * acc.real)
 
     def _coulomb(self, bra, ket) -> float:

@@ -315,27 +315,40 @@ def test_density_huge_finite_extent_writes_zeros_quietly(tmp_path, capsys, exten
     assert grid.shape == (16, 16) and not grid.any()
 
 
+# the first header column with a nan or inf: (simulate, quadrupole)
+_DXX = {"simulate": "Dxx", "quadrupole": "Dxx"}
+_P_SQUARED = {"simulate": "E_total", "quadrupole": "Dxx"}
+
+
 @pytest.mark.parametrize("command", ["simulate", "quadrupole"])
-@pytest.mark.parametrize("flags, named", [
+@pytest.mark.parametrize("flags, named, column", [
     # sigma^4 overflows in the tensor, and inf * 0 leaves nan
-    pytest.param(["--sigma", "1e80", "--pz", "0"], "sigma=1e+80", id="1e80-0-sigma=1e+80"),
-    pytest.param(["--sigma", "1e80", "--pz", "-0.5"], "sigma=1e+80", id="1e80--0.5-sigma=1e+80"),
-    pytest.param(["--sigma", "1e120", "--pz", "0"], "sigma=1e+120", id="1e120-0-sigma=1e+120"),
+    pytest.param(["--sigma", "1e80", "--pz", "0"], "sigma=1e+80", _DXX, id="1e80-0-sigma=1e+80"),
+    pytest.param(
+        ["--sigma", "1e80", "--pz", "-0.5"], "sigma=1e+80", _DXX, id="1e80--0.5-sigma=1e+80"
+    ),
+    pytest.param(
+        ["--sigma", "1e120", "--pz", "0"], "sigma=1e+120", _DXX, id="1e120-0-sigma=1e+120"
+    ),
     # the energy and its gradient stay finite, the tensor does not
     pytest.param(
-        ["--sigma", "1e120", "--pz", "-0.5"], "sigma=1e+120", id="1e120--0.5-sigma=1e+120"
+        ["--sigma", "1e120", "--pz", "-0.5"], "sigma=1e+120", _DXX, id="1e120--0.5-sigma=1e+120"
     ),
-    # the steps stay finite, |p|^2 overflows in the overlap and energy columns
-    pytest.param(["--coupling", "1e306"], "sigma=1", id="coupling-1e306"),
-    pytest.param(["--coupling", "1e200"], "sigma=1", id="coupling-1e200"),
+    # the steps stay finite, |p|^2 overflows in the energy columns and the tensor
+    pytest.param(["--coupling", "1e306"], "sigma=1", _P_SQUARED, id="coupling-1e306"),
+    pytest.param(["--coupling", "1e200"], "sigma=1", _P_SQUARED, id="coupling-1e200"),
+    # no exchange terms: the state stays finite, |p|^2 = 1e320 does not
+    pytest.param(["--pz=-1e160", "--spin", "distinguishable"], "sigma=1", _P_SQUARED,
+                 id="pz-1e160-distinguishable"),
 ])
-def test_non_finite_table_fails_before_writing(tmp_path, capsys, command, flags, named):
+def test_non_finite_table_fails_before_writing(tmp_path, capsys, command, flags, named, column):
     out = tmp_path / "x.csv"
     argv = [command, *flags, "--t-max", "1", "--dt", "0.1"]
     assert run(argv + ["--output", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime failure:")
     assert "float range" in err[0] and named in err[0]
+    assert f" in column {column[command]} at width " in err[0]
     assert not out.exists()
 
 

@@ -168,6 +168,67 @@ def test_anchor_coulomb_integrates_two_combos(monkeypatch):
     assert len(calls) == 2
 
 
+_COMBOS = (((1, 2), (1, 2)), ((1, 2), (2, 1)))
+
+
+def _anchor_geometry():
+    cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True)
+    return oracle._PairGeometry.from_state(PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg))
+
+
+@pytest.mark.parametrize("combo", _COMBOS)
+def test_shared_axis_channels_are_exact(combo):
+    # a combo after the other one reuses its equal axis channels; a fresh engine has none
+    other = _COMBOS[1 - _COMBOS.index(combo)]
+    geoms = [oracle._PairGeometry.from_state(oracle.draw_phase_state(seed))
+             for seed in range(20000, 20020)]
+    # an axis with no offset but a momentum, and one with an offset but none,
+    # where a key missing either number would merge unequal channels
+    geoms.append(oracle._PairGeometry(1.0, np.zeros(3), np.array([0.3, 0.0, -0.2]), 1))
+    geoms.append(oracle._PairGeometry(0.8, np.array([0.4, 0.0, 1.1]), np.zeros(3), -1))
+    for geom in geoms + [_anchor_geometry()]:
+        shared = oracle._Engine(geom)
+        shared.coulomb_combo(other)
+        before = shared.nodes_used
+        got = shared.coulomb_combo(combo)
+        fresh = oracle._Engine(geom)
+        assert got == fresh.coulomb_combo(combo)
+        assert shared.nodes_used - before == fresh.nodes_used
+
+
+def _count_gaussian_blocks(monkeypatch):
+    calls = []
+    channel = oracle._Engine._axis_channel
+
+    def counted(self, combo, ax):
+        u0, m_of_u = channel(self, combo, ax)
+
+        def m_counted(u):
+            calls.append((combo, ax))
+            return m_of_u(u)
+
+        return u0, m_counted
+
+    monkeypatch.setattr(oracle._Engine, "_axis_channel", counted)
+    return calls
+
+
+def test_anchor_coulomb_evaluates_one_axis_channel(monkeypatch):
+    # two combos x three axes with equal inputs: one fixed grid and three scaled segments
+    calls = _count_gaussian_blocks(monkeypatch)
+    oracle._Engine(_anchor_geometry()).expect_coulomb()
+    assert len(calls) == 4
+
+
+def test_coulomb_seed_shares_its_y_channel(monkeypatch):
+    # every drawn packet has y = 0 and k_y = 0, so both combos share one y channel
+    calls = _count_gaussian_blocks(monkeypatch)
+    state = oracle.draw_phase_state(20000)
+    assert state.config.symmetry is not ExchangeSymmetry.DISTINGUISHABLE
+    oracle.oracle_coulomb(state)
+    assert len(calls) == 20
+
+
 # draw 0 is symmetric, draw 1 antisymmetric
 @pytest.mark.parametrize("seed", [0, 1])
 def test_relative_momentum_vanishes_in_the_symmetrized_state(seed):

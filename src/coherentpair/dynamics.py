@@ -231,20 +231,17 @@ def traveltime(traj: Trajectory) -> TraveltimeResult:
         raise MalformedTrajectory("initial separation must be positive")
     if float(np.dot(traj.r[0], traj.p[0])) >= 0.0:
         raise MalformedTrajectory("initial motion is not inward")
-    below = False
-    d_min = d_init
-    for k in range(1, d.size):
-        dk = float(d[k])
-        if dk < d_min:
-            d_min = dk
-        if dk < d_init:
-            below = True
-        elif below and dk >= d_init:
-            prev = float(d[k - 1])
-            frac = (d_init - prev) / (dk - prev) if dk > prev else 1.0
+    below = np.flatnonzero(d < d_init)
+    if below.size:
+        back = np.flatnonzero(d[below[0]:] >= d_init)
+        if back.size:
+            # the sample before the return is below d_init, so dk > prev
+            k = int(below[0] + back[0])
+            prev, dk = float(d[k - 1]), float(d[k])
+            frac = (d_init - prev) / (dk - prev)
             t_ret = float(traj.t[k - 1]) + frac * (float(traj.t[k]) - float(traj.t[k - 1]))
-            return TraveltimeResult(Outcome.RETURN, t_ret, d_min)
-    return TraveltimeResult(Outcome.NO_RETURN, None, d_min)
+            return TraveltimeResult(Outcome.RETURN, t_ret, float(d[:k + 1].min()))
+    return TraveltimeResult(Outcome.NO_RETURN, None, float(d.min()))
 
 
 def free_traveltime(d0: float, v0: float) -> float:

@@ -22,4 +22,4 @@ class MalformedTrajectory(CoherentPairError):
 
 
 class PreconditionViolated(CoherentPairError):
-    """Inputs are outside the validity regime of an inversion formula."""
+    """Inputs are outside the regime a formula holds in, such as the x-z plane."""

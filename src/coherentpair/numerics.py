@@ -5,10 +5,11 @@ The error function is libm's ``math.erf``.  The Dawson integral is one
 table lookup and a degree-10 Taylor polynomial for |x| <= 8, the table
 built at import from the integral's ODE, and an asymptotic expansion
 beyond; scipy and mpmath serve only as references in the tests.
-Quadrature is adaptive Simpson with an explicit node budget, and the ODE
-kernel is the classical fourth-order Runge-Kutta step on tuples of Python
-floats: it skips numpy's per-call overhead on small states and rounds
-every component exactly as the array expression would.  Identical inputs
+Quadrature is adaptive Simpson with an explicit node budget.  ``rk4_step``
+is the classical fourth-order Runge-Kutta step on tuples of Python floats,
+rounding every component exactly as the array expression would; the
+trajectory integrator ``dynamics.integrate`` runs the same stages fused,
+in the same operation order, and does not call it.  Identical inputs
 always produce bit-identical outputs; there is no shared mutable state.
 """
 
@@ -194,7 +195,7 @@ def rk4_step(
     ``deriv(y, t)`` receives and returns sequences of floats.  Each
     component follows numpy's operation order for the array form
     y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), so the result matches it bit
-    for bit.
+    for bit.  ``dynamics.integrate`` runs these stages fused, not this function.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from importlib import resources
 
 import numpy as np
 
@@ -65,11 +64,11 @@ class _PairGeometry:
     def from_state(cls, state: PhaseState) -> "_PairGeometry":
         return cls(state.width, 0.5 * state.r, state.p.copy(), state.config.symmetry.sign)
 
-    def factor(self, which: int, ax: int) -> tuple[float, float, float]:
-        # (s, center, momentum) of the per-axis Gaussian factor
+    def factor(self, which: int, ax: int) -> tuple[float, float]:
+        # (center, momentum) of the per-axis Gaussian factor; its width is s
         if which == 1:
-            return self.s, float(self.c[ax]), float(self.k[ax])
-        return self.s, float(-self.c[ax]), float(-self.k[ax])
+            return float(self.c[ax]), float(self.k[ax])
+        return float(-self.c[ax]), float(-self.k[ax])
 
 
 def _axis_values(s: float, c: float, k: float, x: np.ndarray) -> np.ndarray:
@@ -102,24 +101,18 @@ class _Engine:
         self.nodes_used = 0
         self._cache: dict[tuple, object] = {}
 
-    def _grid(self, a: int, b: int, ax: int) -> tuple[np.ndarray, np.ndarray]:
-        s, ca, _ = self.geom.factor(a, ax)
-        _, cb, _ = self.geom.factor(b, ax)
-        lo = min(ca, cb) - 12.0 * s
-        hi = max(ca, cb) + 12.0 * s
-        return gauss_legendre(_AXIS_NODES, lo, hi)
-
     def elem(self, a: int, b: int, ax: int, poly: int = 0, deriv: int = 0) -> complex:
         """<phi_a | x^poly d^deriv | phi_b> on one axis."""
         key = (a, b, ax, poly, deriv)
         got = self._cache.get(key)
         if got is not None:
             return got
-        x, w = self._grid(a, b, ax)
-        sa, ca, ka = self.geom.factor(a, ax)
-        sb, cb, kb = self.geom.factor(b, ax)
-        bra = np.conj(_axis_values(sa, ca, ka, x))
-        ket = _axis_deriv(sb, cb, kb, x, deriv)
+        s = self.geom.s
+        ca, ka = self.geom.factor(a, ax)
+        cb, kb = self.geom.factor(b, ax)
+        x, w = gauss_legendre(_AXIS_NODES, min(ca, cb) - 12.0 * s, max(ca, cb) + 12.0 * s)
+        bra = np.conj(_axis_values(s, ca, ka, x))
+        ket = _axis_deriv(s, cb, kb, x, deriv)
         if poly:
             ket = ket * x ** poly
         val = complex(np.sum(w * bra * ket))
@@ -214,10 +207,10 @@ class _Engine:
         """
         (a1, a2), (b1, b2) = combo
         s = self.geom.s
-        _, ca1, ka1 = self.geom.factor(a1, ax)
-        _, cb1, kb1 = self.geom.factor(b1, ax)
-        _, ca2, ka2 = self.geom.factor(a2, ax)
-        _, cb2, kb2 = self.geom.factor(b2, ax)
+        ca1, ka1 = self.geom.factor(a1, ax)
+        cb1, kb1 = self.geom.factor(b1, ax)
+        ca2, ka2 = self.geom.factor(a2, ax)
+        cb2, kb2 = self.geom.factor(b2, ax)
         c_a = 0.5 * (ca1 + cb1)
         c_b = 0.5 * (ca2 + cb2)
         u0 = c_a - c_b
@@ -256,7 +249,7 @@ class _Engine:
         """
         (a1, a2), (b1, b2) = combo
         key = ("axis", self.geom.s,
-               *(v for which in (a1, b1, a2, b2) for v in self.geom.factor(which, ax)[1:]))
+               *(v for which in (a1, b1, a2, b2) for v in self.geom.factor(which, ax)))
         entry = self._cache.get(key)
         if entry is None:
             start = self.nodes_used
@@ -491,22 +484,30 @@ def _splitmix64(seed: int):
     return nxt
 
 
+# default seed families of ``validate``: (start, step, count) of each progression
+_DEFAULT_SEEDS = {
+    "overlap": (10000, 37, 100),
+    "coulomb": (20000, 41, 50),
+    "kinetic": (30000, 43, 50),
+    "moments": (40000, 47, 20),
+}
+
+
 def load_seed_lists(path: str | None = None) -> dict[str, list[int]]:
-    """Seed lists committed with the package, or from an explicit file.
+    """The default seed lists, or those of an explicit file.
 
     The file holds a JSON object whose families ``overlap``, ``coulomb``,
     ``kinetic`` and ``moments`` are lists of integers; anything else raises
     ValueError.
     """
     if path is None:
-        text = resources.files("coherentpair.data").joinpath("seed_lists.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lists = json.loads(text)
+        return {family: list(range(start, start + step * count, step))
+                for family, (start, step, count) in _DEFAULT_SEEDS.items()}
+    with open(path, "r", encoding="utf-8") as fh:
+        lists = json.load(fh)
     if not isinstance(lists, dict):
         raise ValueError("seed list file must hold a JSON object")
-    for family in ("overlap", "coulomb", "kinetic", "moments"):
+    for family in _DEFAULT_SEEDS:
         seeds = lists.get(family)
         # bool is an int subclass, but JSON true/false is no seed
         if not (isinstance(seeds, list) and all(type(v) is int for v in seeds)):
@@ -574,7 +575,7 @@ def report_passes(report: OracleReport) -> bool:
 
 
 def run_validation(seed_path: str | None = None) -> tuple[list[tuple[OracleReport, bool]], bool]:
-    """Run every oracle over the committed seed lists.
+    """Run every oracle over the default seed lists, or those of ``seed_path``.
 
     Returns the individual reports with their pass flags and the overall
     verdict.  This is the backend of the ``validate`` CLI subcommand.

@@ -72,10 +72,10 @@ def coulomb_channel(geom, combo, ax: int):
     """
     (a1, a2), (b1, b2) = combo
     s = geom.s
-    _, ca1, ka1 = geom.factor(a1, ax)
-    _, cb1, kb1 = geom.factor(b1, ax)
-    _, ca2, ka2 = geom.factor(a2, ax)
-    _, cb2, kb2 = geom.factor(b2, ax)
+    ca1, ka1 = geom.factor(a1, ax)
+    cb1, kb1 = geom.factor(b1, ax)
+    ca2, ka2 = geom.factor(a2, ax)
+    cb2, kb2 = geom.factor(b2, ax)
     c_b = 0.5 * (ca2 + cb2)
     u0 = 0.5 * (ca1 + cb1) - c_b
     ww, wwgt = gauss_legendre(56, c_b - 10.0 * s, c_b + 10.0 * s)

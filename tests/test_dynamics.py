@@ -219,6 +219,70 @@ def test_traveltime_requires_inward_motion():
         dynamics.traveltime(traj)
 
 
+def traveltime_loop(traj):
+    """(outcome, t_return, d_min) by the per-sample loop traveltime once ran."""
+    d = traj.separation
+    d_init = float(d[0])
+    below = False
+    d_min = d_init
+    for k in range(1, d.size):
+        dk = float(d[k])
+        if dk < d_min:
+            d_min = dk
+        if dk < d_init:
+            below = True
+        elif below and dk >= d_init:
+            prev = float(d[k - 1])
+            frac = (d_init - prev) / (dk - prev) if dk > prev else 1.0
+            t_ret = float(traj.t[k - 1]) + frac * (float(traj.t[k]) - float(traj.t[k - 1]))
+            return Outcome.RETURN, t_ret, d_min
+    return Outcome.NO_RETURN, None, d_min
+
+
+def separation_path(d):
+    """A hand-made trajectory along z whose separation is ``d``, moving inward."""
+    d = np.asarray(d, dtype=float)
+    r = np.zeros((d.size, 3))
+    r[:, 2] = d
+    p = np.zeros((d.size, 3))
+    p[0, 2] = -1.0
+    return dynamics.Trajectory(make_config(), 0.1 * np.arange(d.size), r, p, np.ones(d.size), [])
+
+
+@pytest.mark.parametrize("stop", [False, True], ids=["full", "stop"])
+@pytest.mark.parametrize("symmetry", list(ExchangeSymmetry), ids=lambda sym: sym.value)
+def test_traveltime_matches_the_per_sample_loop(symmetry, stop):
+    outcomes = set()
+    for p in (0.05, 0.14, 0.2, 0.5, 1.0, 3.0):
+        for frozen in (False, True):
+            cfg = make_config(p=p, symmetry=symmetry, frozen=frozen)
+            state = initial_state(cfg)
+            t_free = dynamics.free_traveltime(10.0, 2.0 * p)
+            d0 = float(np.linalg.norm(state.r)) if stop else None
+            # a horizon short of the free return time gives the no-return cases
+            for horizon in (0.6, 3.0):
+                traj = dynamics.integrate(state, t_free / 100.0, horizon * t_free, d0)
+                res = dynamics.traveltime(traj)
+                want = traveltime_loop(traj)
+                assert (res.outcome, res.t_return, res.d_min) == want, (p, frozen, horizon)
+                outcomes.add(res.outcome)
+    assert outcomes == {Outcome.RETURN, Outcome.NO_RETURN}
+
+
+@pytest.mark.parametrize("d", [
+    [2.0, 1.5, 1.0, 1.5, 2.0, 2.5],
+    [2.0, 1.0, 2.5, 0.5, 3.0],
+    [2.0, 1.0, 0.5, 0.5, 1.0],
+    [2.0, 2.0, 1.0, 2.0],
+    [2.0, 2.5, 1.0, 1.9],
+    [2.0],
+], ids=["touch", "first-return", "no-return", "flat-start", "out-first", "one-sample"])
+def test_traveltime_matches_the_per_sample_loop_on_hand_made_paths(d):
+    traj = separation_path(d)
+    res = dynamics.traveltime(traj)
+    assert (res.outcome, res.t_return, res.d_min) == traveltime_loop(traj)
+
+
 def test_free_traveltime():
     assert dynamics.free_traveltime(1.0, 1.0) == 2.0
     assert dynamics.free_traveltime(3.0, 1.0) == 3.0 * dynamics.free_traveltime(1.0, 1.0)

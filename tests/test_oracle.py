@@ -28,10 +28,12 @@ def test_draws_are_deterministic():
 
 def test_seed_lists_committed():
     lists = oracle.load_seed_lists()
-    assert len(lists["overlap"]) == 100
-    assert len(lists["coulomb"]) == 50
-    assert len(lists["kinetic"]) == 50
-    assert len(lists["moments"]) == 20
+    assert list(lists) == ["overlap", "coulomb", "kinetic", "moments"]
+    assert lists["overlap"] == [10000 + 37 * k for k in range(100)]
+    assert lists["coulomb"] == [20000 + 41 * k for k in range(50)]
+    assert lists["kinetic"] == [30000 + 43 * k for k in range(50)]
+    assert lists["moments"] == [40000 + 47 * k for k in range(20)]
+    assert all(type(v) is int for seeds in lists.values() for v in seeds)
 
 
 def test_seed_list_from_file(tmp_path):

@@ -354,9 +354,11 @@ def test_non_finite_table_fails_before_writing(tmp_path, capsys, command, flags,
 
 @pytest.mark.parametrize("spin", ["antiparallel", "parallel", "distinguishable"])
 @pytest.mark.parametrize("pz", ["-1e160", "-1e308"])
-def test_non_finite_state_fails_before_writing(tmp_path, capsys, spin, pz):
+# the head-on start is stepped on (r_z, p_z) alone, the oblique one on six floats
+@pytest.mark.parametrize("px", [[], ["--px", "0.01"]], ids=["head-on", "oblique"])
+def test_non_finite_state_fails_before_writing(tmp_path, capsys, spin, pz, px):
     out = tmp_path / "x.csv"
-    argv = ["simulate", f"--pz={pz}", "--spin", spin, "--dt", "0.1", "--t-max", "1"]
+    argv = ["simulate", f"--pz={pz}", *px, "--spin", spin, "--dt", "0.1", "--t-max", "1"]
     assert run(argv + ["--output", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime failure:")

@@ -21,6 +21,17 @@ def make_config(p=0.5, sigma=1.0, d0=10.0, symmetry=ExchangeSymmetry.SYMMETRIC,
                       np.array([0.0, 0.0, -p]), symmetry, coupling, frozen_width=frozen)
 
 
+# a head-on start, which integrate steps on (r_z, p_z) alone, and an oblique
+# one, which it steps on all six floats
+_STARTS = {"head-on": (0.0, 0.0), "oblique": (0.037, 0.011)}
+
+
+def start_state(start, **config):
+    cfg = make_config(**config)
+    px, py = _STARTS[start]
+    return initial_state(replace(cfg, p0=np.array([px, py, cfg.p0[2]])))
+
+
 def test_free_motion_exact():
     cfg = make_config(p=0.5, symmetry=ExchangeSymmetry.DISTINGUISHABLE,
                       coupling=0.0, frozen=True)
@@ -139,6 +150,8 @@ def test_integrate_matches_the_array_rk4_bit_for_bit(symmetry, frozen, stop):
         "head-on": ([0.0, 0.0, 5.0], [0.0, 0.0, -0.3]),
         "oblique": ([0.4, -0.3, 5.0], [0.037, 0.011, -0.3]),
         "signed-zero": ([-0.0, 0.0, 5.0], [0.0, -0.0, -0.3]),
+        # -0.0 entries that stay -0.0 while the pair repels: -0.0 is no head-on start
+        "signed-zero-kept": ([-0.0, 0.0, 5.0], [-0.0, 0.0, -0.3]),
     }
     for name, (r0, p0) in starts.items():
         cfg = replace(make_config(symmetry=symmetry, frozen=frozen),
@@ -199,6 +212,87 @@ def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, fr
     assert traj.energy is traj.energy and len(calls) <= 1
     assert np.array_equal(traj.overlap, overlap)
     np.testing.assert_array_equal(traj.sigma, [cfg.width(float(t)) for t in traj.t])
+
+
+def six_float_reference(state):
+    """The same start with p_x = -0.0, which integrate steps on all six floats."""
+    return replace(state, p=np.array([-0.0, *state.p[1:]]))
+
+
+def assert_axis_run_is_the_six_float_run(axis, six):
+    """Bitwise equality of a head-on run and its six-float reference."""
+    assert np.signbit(six.p[0, 0])
+    for name in ("t", "r", "p", "sigma", "energy", "overlap"):
+        assert np.array_equal(getattr(axis, name), getattr(six, name)), name
+    # the axis loop's x and y columns are +0.0 throughout
+    assert not np.signbit(axis.r[:, :2]).any() and not np.signbit(axis.p[:, :2]).any()
+    res_axis, res_six = dynamics.traveltime(axis), dynamics.traveltime(six)
+    assert res_axis == res_six
+    regime = dynamics.classify(axis, res_axis)
+    assert regime is dynamics.classify(six, res_six)
+    return regime
+
+
+@pytest.mark.parametrize("stop", [False, True], ids=["full", "stop"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["spreading", "frozen"])
+@pytest.mark.parametrize("symmetry", list(ExchangeSymmetry), ids=lambda sym: sym.value)
+def test_head_on_axis_loop_matches_the_six_float_loop_bit_for_bit(symmetry, frozen, stop):
+    regimes = set()
+    for p in (0.1, 0.15, 1.0):
+        state = initial_state(make_config(p=p, symmetry=symmetry, frozen=frozen))
+        t_free = dynamics.free_traveltime(10.0, 2.0 * p)
+        args = (t_free / 200.0, 2.5 * t_free, 10.0 if stop else None)
+        axis = dynamics.integrate(state, *args)
+        six = dynamics.integrate(six_float_reference(state), *args)
+        regimes.add(assert_axis_run_is_the_six_float_run(axis, six))
+    # with a spreading width the symmetric and distinguishable pairs return
+    # at p = 0.1, stall at 0.15 and pass through at 1.0
+    if not frozen and symmetry is not ExchangeSymmetry.ANTISYMMETRIC:
+        assert regimes == {Regime.CLASSICAL_LIKE, Regime.FROZEN, Regime.PASS_THROUGH}
+
+
+@pytest.mark.parametrize("symmetry, frozen, sigma, pz, r0, message", [
+    # |p|^2 = inf makes dE/d|p|^2 nan: the six-float x and y entries turn nan
+    (ExchangeSymmetry.SYMMETRIC, False, 1.0, -1e160, 5.0, "produced a non-finite state"),
+    # |r| = 2e-104 makes dE/drho = -inf; two stages on, the axis sees
+    # |r|^2 = inf, which returns before rho / (16 sigma^4), and the
+    # six-float loop nan, which reaches it with sigma^4 = 0
+    (ExchangeSymmetry.SYMMETRIC, True, 1.5e-154, -0.3, 1e-104,
+     "left the float range (ZeroDivisionError)"),
+], ids=["nan-gradient", "inf-gradient"])
+def test_a_failing_head_on_step_fails_as_the_six_float_loop(symmetry, frozen, sigma, pz,
+                                                            r0, message):
+    cfg = PairConfig(sigma, np.array([0.0, 0.0, r0]), np.array([0.0, 0.0, pz]), symmetry,
+                     frozen_width=frozen)
+    state = initial_state(cfg)
+    errors = []
+    for start in (state, six_float_reference(state)):
+        with pytest.raises(NonFinite) as exc:
+            dynamics.integrate(start, 0.1, 1.0)
+        errors.append(str(exc.value))
+    assert errors == [f"the RK4 step from t=0 {message}"] * 2
+
+
+@pytest.mark.parametrize("start", list(_STARTS))
+def test_every_step_makes_four_rhs_calls_and_energies_one_more(monkeypatch, start):
+    # bench/tracer.py counts dynamics._core calls as right-hand sides and
+    # meanfield._core calls as energies
+    calls = {"rhs": 0, "energy": 0}
+
+    def counting(kind, core):
+        def counted(*args):
+            calls[kind] += 1
+            return core(*args)
+        return counted
+
+    monkeypatch.setattr(dynamics, "_core", counting("rhs", dynamics._core))
+    monkeypatch.setattr(meanfield, "_core", counting("energy", meanfield._core))
+    for stop in (None, 10.0):
+        calls.update(rhs=0, energy=0)
+        traj = dynamics.integrate(start_state(start, p=0.3), 0.1, 100.0, stop)
+        assert calls == {"rhs": 4 * (traj.t.size - 1), "energy": 0}
+        assert traj.energy.shape == (traj.t.size, 6)
+        assert calls == {"rhs": 4 * (traj.t.size - 1), "energy": 1}
 
 
 def test_traveltime_free_flight():
@@ -498,24 +592,27 @@ def test_early_stop_ends_on_the_return_sample(symmetry, frozen):
             assert n == full.t.size
 
 
-def test_integrate_step_budget():
-    cfg = make_config(p=0.5)
-    with pytest.raises(ValueError, match="budget"):
-        dynamics.integrate(initial_state(cfg), 0.01, 1e300)
-    with pytest.raises(ValueError, match="budget"):
-        dynamics.integrate(initial_state(cfg), 1e-300, 1e300)  # t_max / dt = inf
-    with pytest.raises(ValueError, match="budget"):
-        dynamics.integrate(initial_state(cfg), 1.0, dynamics.MAX_STEPS + 1.0)
+@pytest.mark.parametrize("start", list(_STARTS))
+def test_integrate_step_budget(start):
+    state = start_state(start, p=0.5)
+    with pytest.raises(ValueError, match="^t_max / dt = 1e[+]302 exceeds the budget"):
+        dynamics.integrate(state, 0.01, 1e300)
+    with pytest.raises(ValueError, match="^t_max / dt = inf exceeds the budget"):
+        dynamics.integrate(state, 1e-300, 1e300)
+    with pytest.raises(ValueError, match="^t_max / dt = 1e[+]07 exceeds the budget"):
+        dynamics.integrate(state, 1.0, dynamics.MAX_STEPS + 1.0)
 
 
-def test_integrate_beyond_the_float_range_raises_non_finite():
+@pytest.mark.parametrize("start", list(_STARTS))
+def test_integrate_beyond_the_float_range_raises_non_finite(start):
+    message = "^the RK4 step from t=0 left the float range [(]OverflowError[)]$"
     # within the step budget, but (omega t)^2 overflows on the first step
-    with pytest.raises(NonFinite, match="float range"):
-        dynamics.integrate(initial_state(make_config(p=0.5)), 1e294, 1e300)
+    with pytest.raises(NonFinite, match=message):
+        dynamics.integrate(start_state(start, p=0.5), 1e294, 1e300)
     # a tiny width spreads so fast that (omega t)^2 overflows on the first step:
     # by scale covariance this is the t_max = 1e300 run at sigma = 1
-    with pytest.raises(NonFinite, match="float range"):
-        dynamics.integrate(initial_state(make_config(sigma=1e-150)), 0.01, 0.1)
+    with pytest.raises(NonFinite, match=message):
+        dynamics.integrate(start_state(start, sigma=1e-150), 0.01, 0.1)
 
 
 @pytest.mark.parametrize("r0", [5.0, 2e4])

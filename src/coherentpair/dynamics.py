@@ -3,13 +3,13 @@
 The canonical equations dr/dt = dE/dp, dp/dt = -dE/dr are integrated with
 fixed-step RK4 at the config's width sigma_x(t), which spreads freely
 unless it is frozen, so the system is non-autonomous unless the width is
-frozen.  The RK4 stages run fused on Python floats, four kernel calls and
-two width evaluations per step, and the stage-1 call at each sample also
-gives that sample's energy terms, so reading a trajectory's energies costs
-one more kernel call.  A head-on start (x and y components all +0.0, as
-in every sweep point) is stepped on (r_z, p_z) alone, with the same
-samples bit for bit; any other start, -0.0 components included, on all
-six floats.  Separation is d(t) = |r(t)| and the traveltime is the first
+frozen.  Each step makes four kernel calls, and the stage-1 call at each
+sample also gives that sample's energy terms, so reading a trajectory's
+energies costs one more kernel call.  A head-on start (x and y
+components all +0.0, as in every sweep point) is stepped on (r_z, p_z)
+alone, with the same samples bit for bit; any other start, -0.0
+components included, by ``numerics.rk4_step`` on all six floats.
+Separation is d(t) = |r(t)| and the traveltime is the first
 return to the initial separation after the approach.
 """
 
@@ -126,29 +126,28 @@ def integrate(
 ) -> Trajectory:
     """RK4 integration with one recorded sample per step.
 
+    The run starts at ``initial.t`` and takes round(t_max / dt) steps.
     The right-hand side is the analytic gradient from ``meanfield._core``
     at the config's width ``config.width(t)``; the tests hold it to
     central differences of the energy.  If ``stop_at_separation`` is given,
     integration ends on the first sample back at or beyond it after having
     dipped below, the sample on which ``traveltime`` finds the return.
 
-    The stages are fused on local floats in the operation order of
-    ``numerics.rk4_step``, so the samples match it bit for bit.  Each step
-    evaluates the width twice, at t + dt/2 and at t + dt (the next
-    sample's width), and keeps the energy terms of its stage-1 ``_core``
-    call for ``Trajectory.energy``.
+    Each step is ``numerics.rk4_step`` on the six floats of (r, p); it keeps
+    the energy terms of its stage-1 ``_core`` call for ``Trajectory.energy``.
 
     A head-on start, whose r_x, r_y, p_x and p_y are all +0.0, is stepped
-    on (r_z, p_z) alone.  Those four stay +0.0 in the six-float stages:
-    each of their rates is a finite gradient times +0.0, a signed zero,
-    and +0.0 plus a signed zero is +0.0.  So every rho, |p|^2 and sample
-    is the six-float one, and the x and y columns come out +0.0.  A -0.0
-    component does not qualify: it stays -0.0 while its rate is -0.0 and
-    turns +0.0 when the rate is +0.0, so its sign follows the gradients.
-    A non-finite gradient makes the x and y rates NaN where the z rates
-    may be inf, and from there the two loops may fail differently; so a
-    step that raises or ends non-finite on the axis is redone on six
-    floats, and fails as it does there.
+    on (r_z, p_z) alone, by the same stages fused on two floats.  Those
+    four stay +0.0 in the six-float stages: each of their rates is a
+    finite gradient times +0.0, a signed zero, and +0.0 plus a signed
+    zero is +0.0.  So every rho, |p|^2 and sample is the six-float one,
+    and the x and y columns come out +0.0.  A -0.0 component does not
+    qualify: it stays -0.0 while its rate is -0.0 and turns +0.0 when the
+    rate is +0.0, so its sign follows the gradients.  A non-finite
+    gradient makes the x and y rates NaN where the z rates may be inf,
+    and from there the two steps may fail differently; so a step that
+    raises or ends non-finite on the axis is redone by ``rk4_step``, and
+    fails as it does there.
     """
     if dt <= 0 or t_max <= dt:
         raise ValueError("need dt > 0 and t_max > dt")
@@ -161,55 +160,34 @@ def integrate(
     n_steps = int(round(t_max / dt))
     h = 0.5 * dt
     sixth = dt / 6.0
+    stage_terms = []
 
-    def rates(rx, ry, rz, px, py, pz, s):
-        """Energy terms at width s and dy/dt for y = (rx, ry, rz, px, py, pz)."""
+    def deriv(y, t):
+        """dy/dt for y = (rx, ry, rz, px, py, pz) at time t; keeps the energy terms."""
+        rx, ry, rz, px, py, pz = y
         # _core is read from the module at every call: the benchmark tracer
         # counts right-hand-side calls by patching it there
         terms, de_drho, de_dpp = _core(
-            rx * rx + ry * ry + rz * rz, px * px + py * py + pz * pz, s, sign, kappa
+            rx * rx + ry * ry + rz * rz, px * px + py * py + pz * pz, width(t), sign, kappa
         )
+        stage_terms.append(terms)
         gr = 2.0 * de_drho
         gp = 2.0 * de_dpp
-        return terms, gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz
+        return gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz
 
-    def six_float_step(y, t, s):
-        """Stage-1 energy terms, the state and the width one step after (y, t, s)."""
-        rx, ry, rz, px, py, pz = y
-        terms, a1, a2, a3, a4, a5, a6 = rates(rx, ry, rz, px, py, pz, s)
-        s_half = width(t + h)
-        _, b1, b2, b3, b4, b5, b6 = rates(
-            rx + h * a1, ry + h * a2, rz + h * a3, px + h * a4, py + h * a5, pz + h * a6,
-            s_half,
-        )
-        _, c1, c2, c3, c4, c5, c6 = rates(
-            rx + h * b1, ry + h * b2, rz + h * b3, px + h * b4, py + h * b5, pz + h * b6,
-            s_half,
-        )
-        s = width(t + dt)
-        _, d1, d2, d3, d4, d5, d6 = rates(
-            rx + dt * c1, ry + dt * c2, rz + dt * c3,
-            px + dt * c4, py + dt * c5, pz + dt * c6,
-            s,
-        )
-        y = (
-            rx + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-            ry + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-            rz + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-            px + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
-            py + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-            pz + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
-        )
-        if not all(map(math.isfinite, y)):
-            raise NonFinite(f"the RK4 step from t={t:.6g} produced a non-finite state")
-        return terms, y, s
+    def full_step(y, t, s):
+        """Stage-1 energy terms, the state and the width one step after (y, t)."""
+        stage_terms.clear()
+        # read from the module, where the benchmark tracer counts its calls
+        y = numerics.rk4_step(y, t, dt, deriv)
+        return stage_terms[0], y, width(t + dt)
 
     def axis_step(y, t, s):
-        """``six_float_step`` of a state whose x and y entries are +0.0.
+        """``full_step`` of a state whose x and y entries are +0.0.
 
-        The stages are those of ``rates`` without the +0.0 terms (0 + 0 +
+        The stages are those of ``deriv`` without the +0.0 terms (0 + 0 +
         rz * rz is rz * rz), with ``_core`` read from the module as there.
-        A step that fails here is redone on six floats.
+        A step that fails here is redone by ``full_step``.
         """
         rz, pz = y[2], y[5]
         try:
@@ -231,18 +209,18 @@ def integrate(
             d3 = 2.0 * de_dpp * q
             d6 = -(2.0 * de_drho) * z
         except (ArithmeticError, CoherentPairError):
-            return six_float_step(y, t, s)
+            return full_step(y, t, s)
         rz += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
         pz += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
         if not (math.isfinite(rz) and math.isfinite(pz)):
-            return six_float_step(y, t, s)
+            return full_step(y, t, s)
         return terms, (0.0, 0.0, rz, 0.0, 0.0, pz), s_next
 
     y = tuple(initial.r.tolist() + initial.p.tolist())
     # +0.0 only: copysign tells -0.0 apart, == does not
     head_on = all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in (y[0], y[1], y[3], y[4]))
-    step = axis_step if head_on else six_float_step
-    t = 0.0
+    step = axis_step if head_on else full_step
+    t = float(initial.t)
     ts = [t]
     ys = [y]
     stage1 = []

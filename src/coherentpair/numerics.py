@@ -7,9 +7,9 @@ built at import from the integral's ODE, and an asymptotic expansion
 beyond; scipy and mpmath serve only as references in the tests.
 Quadrature is adaptive Simpson with an explicit node budget.  ``rk4_step``
 is the classical fourth-order Runge-Kutta step on tuples of Python floats,
-rounding every component exactly as the array expression would; the
-trajectory integrator ``dynamics.integrate`` runs the same stages fused,
-in the same operation order, and does not call it.  Identical inputs
+rounding every component exactly as the array expression would; it is the
+step of every ``dynamics.integrate`` run that does not start head-on, and
+the reference the head-on axis step is fused from.  Identical inputs
 always produce bit-identical outputs; there is no shared mutable state.
 """
 
@@ -195,7 +195,8 @@ def rk4_step(
     ``deriv(y, t)`` receives and returns sequences of floats.  Each
     component follows numpy's operation order for the array form
     y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), so the result matches it bit
-    for bit.  ``dynamics.integrate`` runs these stages fused, not this function.
+    for bit.  Raises :class:`NonFinite`, naming ``t``, when a component
+    of the result is not finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -210,5 +211,5 @@ def rk4_step(
         for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)
     ])
     if not all(map(math.isfinite, out)):
-        raise NonFinite("rk4_step produced a non-finite state")
+        raise NonFinite(f"the RK4 step from t={t:.6g} produced a non-finite state")
     return out

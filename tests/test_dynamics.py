@@ -295,6 +295,19 @@ def test_every_step_makes_four_rhs_calls_and_energies_one_more(monkeypatch, star
         assert calls == {"rhs": 4 * (traj.t.size - 1), "energy": 1}
 
 
+@pytest.mark.parametrize("start", list(_STARTS))
+def test_a_run_continued_from_a_sample_is_the_rest_of_the_run(start):
+    # the clock, and with it the spreading width, starts at the state's t
+    traj = dynamics.integrate(start_state(start, p=0.3), 0.05, 20.0)
+    k = 150
+    rest = dynamics.integrate(traj.state(k), 0.05, 20.0 - traj.t[k])
+    assert rest.sigma[0] > 3.0 * traj.sigma[0]
+    for name in ("t", "r", "p", "sigma", "energy"):
+        got, want = getattr(rest, name), getattr(traj, name)[k:]
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
 def test_traveltime_free_flight():
     cfg = make_config(p=0.5, symmetry=ExchangeSymmetry.DISTINGUISHABLE,
                       coupling=0.0, frozen=True)

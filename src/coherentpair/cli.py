@@ -272,7 +272,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # MemoryError: numpy cannot allocate an array that large, say at a huge --n
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except (CoherentPairError, ArithmeticError) as exc:

@@ -55,7 +55,7 @@ class Trajectory:
 
     @property
     def separation(self) -> np.ndarray:
-        return np.linalg.norm(self.r, axis=1)
+        return np.sqrt(_squares(self.r))
 
     def state(self, i: int) -> PhaseState:
         return PhaseState(self.r[i], self.p[i], float(self.t[i]), self.config)

@@ -162,7 +162,9 @@ def avg_hamiltonian(state: PhaseState) -> EnergyBreakdown:
     direct Coulomb erf(|r|/2s)/|r|, and the Dawson-family Coulomb exchange
     weighted by N^2/(1 +/- N^2).
     """
-    rho = float(np.dot(state.r, state.r))
-    pp = float(np.dot(state.p, state.p))
+    # the squares summed left to right, as the dynamics' right-hand side sums them
+    rx, ry, rz = state.r.tolist()
+    px, py, pz = state.p.tolist()
+    rho, pp = rx * rx + ry * ry + rz * rz, px * px + py * py + pz * pz
     parts, _, _ = _core(rho, pp, state.width, state.config.symmetry.sign, state.config.coupling)
     return EnergyBreakdown(*parts)

@@ -12,8 +12,9 @@ algebra of the explicit exponents, not a closed form under test.  Each
 distinct per-axis Coulomb channel is integrated once per engine, and a
 combo that reuses one still counts the rule's nodes in ``nodes_used``.
 Everything is deterministic: fixed node counts, fixed seed lists, no Monte
-Carlo.  One expansion over particle orders (``_Engine._pair_sum``) serves
-the product, symmetric and antisymmetric states.
+Carlo.  An engine reads the ``PhaseState`` the dynamics integrates, and
+one expansion over particle orders (``_Engine._pair_sum``) serves the
+product, symmetric and antisymmetric states.
 """
 
 from __future__ import annotations
@@ -51,26 +52,6 @@ class OracleReport:
 # separable pair-integral engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _PairGeometry:
-    """Explicit mirrored pair at one instant: width s, centers +/- c, momenta +/- k."""
-
-    s: float
-    c: np.ndarray
-    k: np.ndarray
-    sign: int
-
-    @classmethod
-    def from_state(cls, state: PhaseState) -> "_PairGeometry":
-        return cls(state.width, 0.5 * state.r, state.p.copy(), state.config.symmetry.sign)
-
-    def factor(self, which: int, ax: int) -> tuple[float, float]:
-        # (center, momentum) of the per-axis Gaussian factor; its width is s
-        if which == 1:
-            return float(self.c[ax]), float(self.k[ax])
-        return float(-self.c[ax]), float(-self.k[ax])
-
-
 def _axis_values(s: float, c: float, k: float, x: np.ndarray) -> np.ndarray:
     norm = (2.0 * math.pi * s * s) ** -0.25
     return norm * np.exp(-((x - c) ** 2) / (4.0 * s * s) + 1j * k * x)
@@ -94,12 +75,25 @@ _AXIS_NODES = 160
 
 
 class _Engine:
-    """Caches the per-axis 1D matrix elements and Coulomb channels of one pair geometry."""
+    """Caches the per-axis 1D matrix elements and Coulomb channels of one phase state.
 
-    def __init__(self, geom: _PairGeometry):
-        self.geom = geom
+    The explicit pair: packets of width s at centres +/- c = +/- r/2 with
+    momenta +/- k = +/- p, combined with the sign of the state's symmetry.
+    """
+
+    def __init__(self, state: PhaseState):
+        self.s = state.width
+        self.c = 0.5 * state.r
+        self.k = state.p
+        self.sign = state.config.symmetry.sign
         self.nodes_used = 0
         self._cache: dict[tuple, object] = {}
+
+    def factor(self, which: int, ax: int) -> tuple[float, float]:
+        # (center, momentum) of the per-axis Gaussian factor; its width is s
+        if which == 1:
+            return float(self.c[ax]), float(self.k[ax])
+        return float(-self.c[ax]), float(-self.k[ax])
 
     def elem(self, a: int, b: int, ax: int, poly: int = 0, deriv: int = 0) -> complex:
         """<phi_a | x^poly d^deriv | phi_b> on one axis."""
@@ -107,9 +101,9 @@ class _Engine:
         got = self._cache.get(key)
         if got is not None:
             return got
-        s = self.geom.s
-        ca, ka = self.geom.factor(a, ax)
-        cb, kb = self.geom.factor(b, ax)
+        s = self.s
+        ca, ka = self.factor(a, ax)
+        cb, kb = self.factor(b, ax)
         x, w = gauss_legendre(_AXIS_NODES, min(ca, cb) - 12.0 * s, max(ca, cb) + 12.0 * s)
         bra = np.conj(_axis_values(s, ca, ka, x))
         ket = _axis_deriv(s, cb, kb, x, deriv)
@@ -137,7 +131,7 @@ class _Engine:
         has the order (1, 2) only, and a mixed bra/ket pair carries the sign.
         Direct terms come first, so an element odd under a particle swap sums to 0.
         """
-        sign = self.geom.sign
+        sign = self.sign
         total = element((1, 2), (1, 2))
         if sign:
             total += element((2, 1), (2, 1))
@@ -206,11 +200,11 @@ class _Engine:
         of the explicit wave functions; no closed form under test enters.
         """
         (a1, a2), (b1, b2) = combo
-        s = self.geom.s
-        ca1, ka1 = self.geom.factor(a1, ax)
-        cb1, kb1 = self.geom.factor(b1, ax)
-        ca2, ka2 = self.geom.factor(a2, ax)
-        cb2, kb2 = self.geom.factor(b2, ax)
+        s = self.s
+        ca1, ka1 = self.factor(a1, ax)
+        cb1, kb1 = self.factor(b1, ax)
+        ca2, ka2 = self.factor(a2, ax)
+        cb2, kb2 = self.factor(b2, ax)
         c_a = 0.5 * (ca1 + cb1)
         c_b = 0.5 * (ca2 + cb2)
         u0 = c_a - c_b
@@ -248,12 +242,12 @@ class _Engine:
         node count as the miss that filled it.
         """
         (a1, a2), (b1, b2) = combo
-        key = ("axis", self.geom.s,
-               *(v for which in (a1, b1, a2, b2) for v in self.geom.factor(which, ax)))
+        key = ("axis", self.s,
+               *(v for which in (a1, b1, a2, b2) for v in self.factor(which, ax)))
         entry = self._cache.get(key)
         if entry is None:
             start = self.nodes_used
-            s = self.geom.s
+            s = self.s
             u0, m_of_u = self._axis_channel(combo, ax)
             uu, wu = gauss_legendre(96, u0 - 14.0 * s, u0 + 14.0 * s)
             # K(t) = (1/t) int m(y/t) exp(-y^2) dy on each scaled segment
@@ -276,7 +270,7 @@ class _Engine:
         (``_axis_factors``); ``nodes_used`` counts the rule's nodes per
         channel, hit or miss.
         """
-        s = self.geom.s
+        s = self.s
         t_switch = 0.5 / s
         t_hi = 24.0 / s
         # scaled segments up to t_hi, then the 1/t tail
@@ -341,10 +335,8 @@ class _Engine:
 
 def oracle_overlap(config: PairConfig, t: float = 0.0) -> OracleReport:
     """3D quadrature of conj(Psi_1) Psi_2 against the closed-form overlap."""
-    s = config.width(t)
-    c = config.r0 + config.p0 * t
-    geom = _PairGeometry(s, c, config.p0.copy(), config.symmetry.sign)
-    eng = _Engine(geom)
+    # r = 2 c halves back to the centres c exactly
+    eng = _Engine(PhaseState(2.0 * (config.r0 + config.p0 * t), config.p0, t, config))
     numeric = abs(eng.one_body(1, 2, {}))
     analytic = overlap(config, t)
     return OracleReport("overlap", analytic, numeric, eng.nodes_used)
@@ -354,7 +346,7 @@ def oracle_coulomb(state: PhaseState) -> list[OracleReport]:
     """Direct and exchange Coulomb terms against relative-coordinate quadrature."""
     kappa = state.config.coupling
     breakdown = avg_hamiltonian(state)
-    eng = _Engine(_PairGeometry.from_state(state))
+    eng = _Engine(state)
     direct_num = kappa * eng.coulomb_direct_term()
     reports = [
         OracleReport("coulomb_direct", breakdown.coulomb_direct, direct_num, eng.nodes_used)
@@ -380,7 +372,8 @@ def oracle_kinetic(state: PhaseState) -> list[OracleReport]:
     is the symmetrized-minus-product difference.
     """
     breakdown = avg_hamiltonian(state)
-    eng_prod = _Engine(replace(_PairGeometry.from_state(state), sign=0))
+    product = replace(state.config, symmetry=ExchangeSymmetry.DISTINGUISHABLE)
+    eng_prod = _Engine(replace(state, config=product))
     p_vec = eng_prod.expect_p_rel()
     t_prod = eng_prod.expect_p_rel_squared()
     classical_num = float(np.dot(p_vec, p_vec))
@@ -391,7 +384,7 @@ def oracle_kinetic(state: PhaseState) -> list[OracleReport]:
                      t_prod - classical_num, eng_prod.nodes_used),
     ]
     if state.config.symmetry is not ExchangeSymmetry.DISTINGUISHABLE:
-        eng_sym = _Engine(_PairGeometry.from_state(state))
+        eng_sym = _Engine(state)
         t_sym = eng_sym.expect_p_rel_squared()
         reports.append(
             OracleReport("kinetic_exchange", breakdown.kinetic_exchange,
@@ -402,7 +395,7 @@ def oracle_kinetic(state: PhaseState) -> list[OracleReport]:
 
 def oracle_moments(state: PhaseState) -> list[OracleReport]:
     """Quadrupole components against direct moment quadrature."""
-    eng = _Engine(_PairGeometry.from_state(state))
+    eng = _Engine(state)
     m = np.zeros((3, 3))
     for i in range(3):
         m[i, i] = eng.expect_one_body_sum({i: (2, 0)})
@@ -424,8 +417,9 @@ def oracle_moments(state: PhaseState) -> list[OracleReport]:
 
 def oracle_packet_kinetic(sigma: float, p0: np.ndarray) -> OracleReport:
     """Mean kinetic energy <p^2>/2m of one packet at the origin, from derivative quadrature."""
-    geom = _PairGeometry(sigma, np.zeros(3), p0, 0)
-    eng = _Engine(geom)
+    # at t = 0 the width is exactly sigma
+    single = PairConfig(sigma, symmetry=ExchangeSymmetry.DISTINGUISHABLE)
+    eng = _Engine(PhaseState(np.zeros(3), p0, 0.0, single))
     norm = eng.one_body(1, 1, {})
     lap = sum((eng.one_body(1, 1, {ax: (0, 2)}) / norm).real for ax in range(3))
     return OracleReport("packet_kinetic", kinetic_energy(sigma, p0), -0.5 * lap,
@@ -581,38 +575,22 @@ def run_validation(seed_path: str | None = None) -> tuple[list[tuple[OracleRepor
     verdict.  This is the backend of the ``validate`` CLI subcommand.
     """
     seeds = load_seed_lists(seed_path)
-    results: list[tuple[OracleReport, bool]] = []
-
-    def add(report: OracleReport) -> None:
-        results.append((report, report_passes(report)))
-
-    for seed in seeds["overlap"]:
-        config, t = draw_pair_config(seed)
-        add(oracle_overlap(config, t))
-    for seed in seeds["coulomb"]:
-        state = draw_phase_state(seed)
-        for rep in oracle_coulomb(state):
-            add(rep)
-    for seed in seeds["kinetic"]:
-        state = draw_phase_state(seed)
-        for rep in oracle_kinetic(state):
-            add(rep)
-    for seed in seeds["moments"]:
-        state = draw_phase_state(seed)
-        for rep in oracle_moments(state):
-            add(rep)
-    for sigma in (0.5, 1.0, 2.0):
-        add(oracle_spreading(sigma))
+    reports = [oracle_overlap(*draw_pair_config(seed)) for seed in seeds["overlap"]]
+    # the families' oracles are read at call time, where a tracer may wrap them
+    for family, check in (("coulomb", oracle_coulomb), ("kinetic", oracle_kinetic),
+                          ("moments", oracle_moments)):
+        for seed in seeds[family]:
+            reports += check(draw_phase_state(seed))
+    reports += [oracle_spreading(sigma) for sigma in (0.5, 1.0, 2.0)]
     for sigma, p0 in ((1.0, np.zeros(3)), (0.7, np.array([0.5, 0.1, -0.3]))):
-        add(oracle_packet_kinetic(sigma, p0))
+        reports.append(oracle_packet_kinetic(sigma, p0))
     # anchor: coincident symmetric pair, sigma = 1 -> Coulomb 1/sqrt(pi)
     anchor = PhaseState(
         np.zeros(3), np.zeros(3), 0.0,
         PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True),
     )
-    bd = avg_hamiltonian(anchor)
-    eng = _Engine(_PairGeometry.from_state(anchor))
-    add(OracleReport("coulomb_coincident_anchor", bd.coulomb, eng.expect_coulomb(),
-                     eng.nodes_used, note="expected 1/sqrt(pi)"))
-    ok = all(flag for _, flag in results)
-    return results, ok
+    eng = _Engine(anchor)
+    reports.append(OracleReport("coulomb_coincident_anchor", avg_hamiltonian(anchor).coulomb,
+                                eng.expect_coulomb(), eng.nodes_used, note="expected 1/sqrt(pi)"))
+    results = [(rep, report_passes(rep)) for rep in reports]
+    return results, all(flag for _, flag in results)

@@ -62,20 +62,21 @@ def pair_amplitude(config: PairConfig, r1, r2, t: float = 0.0):
     return (a11 * a22 + sign * a12 * a21) * _norm_factor(sign, n * n)
 
 
-def coulomb_channel(geom, combo, ax: int):
+def coulomb_channel(eng, combo, ax: int):
     """The oracle's per-axis Coulomb factor as the plain complex product.
 
     Returns (u0, m) with m(u) = int conj(phi_a1)(w + u) phi_b1(w + u)
     conj(phi_a2)(w) phi_b2(w) dw on the oracle's 56-node w rule: all four
     complex Gaussians are evaluated at every (u, w) node and multiplied,
     without the product-rule factoring of ``oracle._Engine._axis_channel``.
+    Only the width and per-axis factors of the engine ``eng`` are read.
     """
     (a1, a2), (b1, b2) = combo
-    s = geom.s
-    ca1, ka1 = geom.factor(a1, ax)
-    cb1, kb1 = geom.factor(b1, ax)
-    ca2, ka2 = geom.factor(a2, ax)
-    cb2, kb2 = geom.factor(b2, ax)
+    s = eng.s
+    ca1, ka1 = eng.factor(a1, ax)
+    cb1, kb1 = eng.factor(b1, ax)
+    ca2, ka2 = eng.factor(a2, ax)
+    cb2, kb2 = eng.factor(b2, ax)
     c_b = 0.5 * (ca2 + cb2)
     u0 = 0.5 * (ca1 + cb1) - c_b
     ww, wwgt = gauss_legendre(56, c_b - 10.0 * s, c_b + 10.0 * s)

@@ -287,6 +287,25 @@ def test_extreme_finite_input_fails_with_one_line(tmp_path, capsys, args, code, 
     assert not out.exists()
 
 
+def test_density_grid_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
+    # numpy raises a MemoryError subclass for a grid it cannot allocate; the
+    # allocation is faked, since a real attempt on a host that overcommits
+    # memory may run out of it instead of failing
+    zeros = np.zeros
+    message = "Unable to allocate 21.8 TiB for an array with shape (1000000, 1000000, 3)"
+
+    def fake_zeros(shape, *args, **kwargs):
+        if shape == (1000000, 1000000, 3):
+            raise MemoryError(message)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(observables.np, "zeros", fake_zeros)
+    out = tmp_path / "x.out"
+    assert run(["density", "--n", "1000000", "--times", "1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"invalid configuration: {message}"]
+    assert not out.exists()
+
+
 def test_density_normalization_overflow_names_the_width(tmp_path, capsys):
     out = tmp_path / "x.out"
     assert run(["density", "--sigma", "1e-150", "--times", "0", "--output", str(out)]) == 3

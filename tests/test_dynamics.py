@@ -214,6 +214,25 @@ def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, fr
     np.testing.assert_array_equal(traj.sigma, [cfg.width(float(t)) for t in traj.t])
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["spreading", "frozen"])
+@pytest.mark.parametrize("symmetry", list(ExchangeSymmetry), ids=lambda sym: sym.value)
+def test_avg_hamiltonian_of_a_sample_is_its_energy_row(symmetry, frozen):
+    # an oblique run, where a dot product and the right-hand side's sum of
+    # squares round differently on some samples
+    cfg = PairConfig(1.0, np.array([0.0, 0.0, 5.0]), np.array([0.2, 0.0, -0.4]), symmetry,
+                     frozen_width=frozen)
+    traj = dynamics.integrate(initial_state(cfg), 0.05, 60.0)
+    assert traj.t.size == 1201
+    for i in range(traj.t.size):
+        bd = meanfield.avg_hamiltonian(traj.state(i))
+        row = (bd.kinetic_classical, bd.kinetic_uncertainty, bd.kinetic_exchange,
+               bd.coulomb_direct, bd.coulomb_exchange, bd.total)
+        assert np.array_equal(traj.energy[i], row), i
+        # the stop rule's distance in integrate
+        rx, ry, rz = traj.r[i].tolist()
+        assert traj.separation[i] == math.sqrt(rx * rx + ry * ry + rz * rz), i
+
+
 def six_float_reference(state):
     """The same start with p_x = -0.0, which integrate steps on all six floats."""
     return replace(state, p=np.array([-0.0, *state.p[1:]]))

@@ -1,5 +1,6 @@
 """Tests for the oracle module itself."""
 
+import hashlib
 import json
 import math
 
@@ -76,7 +77,7 @@ def test_overlap_oracle_separated_and_moving():
 def test_coulomb_oracle_anchor():
     cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True)
     state = PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg)
-    eng = oracle._Engine(oracle._PairGeometry.from_state(state))
+    eng = oracle._Engine(state)
     val = eng.expect_coulomb()
     assert abs(val - 1.0 / math.sqrt(math.pi)) < 1e-8
 
@@ -133,6 +134,17 @@ def test_run_validation_small_list(tmp_path):
     ]
 
 
+def test_run_validation_default_seeds():
+    # the default run of ``validate``: every report passes, and the ordered
+    # (quantity, nodes) list is fixed by the seed progressions and node counts
+    results, ok = oracle.run_validation()
+    assert ok and len(results) == 456
+    work = [(r.quantity, r.nodes_used) for r, _ in results]
+    assert sum(nodes for _, nodes in work) == 121579776
+    digest = hashlib.sha256(repr(work).encode()).hexdigest()
+    assert digest == "2be27a0d2da10aee37b8f8c61501080effa7d074e9f5ff3ec6c3f6dc4309510d"
+
+
 def _count_coulomb_combos(monkeypatch):
     calls = []
     combo = oracle._Engine.coulomb_combo
@@ -165,7 +177,7 @@ def test_anchor_coulomb_integrates_two_combos(monkeypatch):
     calls = _count_coulomb_combos(monkeypatch)
     cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True)
     state = PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg)
-    eng = oracle._Engine(oracle._PairGeometry.from_state(state))
+    eng = oracle._Engine(state)
     eng.expect_coulomb()
     assert len(calls) == 2
 
@@ -173,27 +185,28 @@ def test_anchor_coulomb_integrates_two_combos(monkeypatch):
 _COMBOS = (((1, 2), (1, 2)), ((1, 2), (2, 1)))
 
 
-def _anchor_geometry():
+def _anchor_state():
     cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True)
-    return oracle._PairGeometry.from_state(PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg))
+    return PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg)
 
 
 @pytest.mark.parametrize("combo", _COMBOS)
 def test_shared_axis_channels_are_exact(combo):
     # a combo after the other one reuses its equal axis channels; a fresh engine has none
     other = _COMBOS[1 - _COMBOS.index(combo)]
-    geoms = [oracle._PairGeometry.from_state(oracle.draw_phase_state(seed))
-             for seed in range(20000, 20020)]
+    states = [oracle.draw_phase_state(seed) for seed in range(20000, 20020)]
     # an axis with no offset but a momentum, and one with an offset but none,
     # where a key missing either number would merge unequal channels
-    geoms.append(oracle._PairGeometry(1.0, np.zeros(3), np.array([0.3, 0.0, -0.2]), 1))
-    geoms.append(oracle._PairGeometry(0.8, np.array([0.4, 0.0, 1.1]), np.zeros(3), -1))
-    for geom in geoms + [_anchor_geometry()]:
-        shared = oracle._Engine(geom)
+    states.append(PhaseState(np.zeros(3), np.array([0.3, 0.0, -0.2]), 0.0, PairConfig(1.0)))
+    c = np.array([0.4, 0.0, 1.1])
+    states.append(PhaseState(2.0 * c, np.zeros(3), 0.0,
+                             PairConfig(0.8, c, symmetry=ExchangeSymmetry.ANTISYMMETRIC)))
+    for state in states + [_anchor_state()]:
+        shared = oracle._Engine(state)
         shared.coulomb_combo(other)
         before = shared.nodes_used
         got = shared.coulomb_combo(combo)
-        fresh = oracle._Engine(geom)
+        fresh = oracle._Engine(state)
         assert got == fresh.coulomb_combo(combo)
         assert shared.nodes_used - before == fresh.nodes_used
 
@@ -218,7 +231,7 @@ def _count_gaussian_blocks(monkeypatch):
 def test_anchor_coulomb_evaluates_one_axis_channel(monkeypatch):
     # two combos x three axes with equal inputs: one fixed grid and three scaled segments
     calls = _count_gaussian_blocks(monkeypatch)
-    oracle._Engine(_anchor_geometry()).expect_coulomb()
+    oracle._Engine(_anchor_state()).expect_coulomb()
     assert len(calls) == 4
 
 
@@ -237,7 +250,7 @@ def test_relative_momentum_vanishes_in_the_symmetrized_state(seed):
     state = oracle.draw_phase_state(seed)
     assert state.config.symmetry.sign == (1, -1)[seed]
     assert np.any(state.p != 0.0)
-    eng = oracle._Engine(oracle._PairGeometry.from_state(state))
+    eng = oracle._Engine(state)
     assert np.all(eng.expect_p_rel() == 0.0)
 
 
@@ -247,13 +260,13 @@ def test_axis_channel_matches_complex_product(combo):
     yy, _ = gauss_legendre(48, -7.0, 7.0)
     worst = 0.0
     for seed in range(20000, 20020):
-        geom = oracle._PairGeometry.from_state(oracle.draw_phase_state(seed))
-        s = geom.s
+        state = oracle.draw_phase_state(seed)
+        s = state.width
         tt = np.geomspace(0.5 / s, 1e4 / s, 32)
         for ax in range(3):
-            eng = oracle._Engine(geom)
+            eng = oracle._Engine(state)
             u0, m_of_u = eng._axis_channel(combo, ax)
-            ref_u0, ref_m = coulomb_channel(geom, combo, ax)
+            ref_u0, ref_m = coulomb_channel(eng, combo, ax)
             assert u0 == ref_u0
             fixed, _ = gauss_legendre(96, u0 - 14.0 * s, u0 + 14.0 * s)
             for u in (fixed, yy[None, :] / tt[:, None]):

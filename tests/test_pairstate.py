@@ -84,7 +84,7 @@ def test_pair_amplitude_exchange_symmetry(symmetry, sign):
 def test_pair_norm_by_quadrature(symmetry):
     cfg = PairConfig(0.8, np.array([0.0, 0.0, 1.1]), np.array([0.3, 0.0, -0.2]), symmetry)
     state = PhaseState(2.0 * cfg.r0, cfg.p0, 0.0, cfg)
-    eng = oracle._Engine(oracle._PairGeometry.from_state(state))
+    eng = oracle._Engine(state)
     # <sum_i 1> = 2 iff the pair state is unit-normalized
     assert abs(eng.expect_one_body_sum({}) - 2.0) < 1e-7
 
@@ -103,7 +103,7 @@ def test_antisymmetric_coincident_config_invalid():
 def test_density_particle_count():
     cfg = PairConfig(0.9, np.array([0.0, 0.0, 1.2]), np.array([0.1, 0.0, -0.4]))
     state = PhaseState(2.0 * cfg.r0, cfg.p0, 0.6, cfg)
-    eng = oracle._Engine(oracle._PairGeometry.from_state(state))
+    eng = oracle._Engine(state)
     assert abs(eng.expect_one_body_sum({}) - 2.0) < 1e-7
 
 

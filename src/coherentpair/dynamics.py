@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import meanfield, numerics
 from .errors import CoherentPairError, MalformedTrajectory, NonFinite
-from .meanfield import PhaseState, _core
+from .meanfield import PhaseState, _core, avg_hamiltonian
 from .pairstate import PairConfig, overlap_from_params
 
 # largest t_max / dt, the RK4 step count, one ``integrate`` call accepts; it
@@ -43,7 +43,8 @@ class Trajectory:
     ``overlap`` and ``energy`` are derived from the path when first read,
     then kept.  ``stage1`` holds the energy terms of every sample that
     started an RK4 step (all but the last), as the step's stage-1 ``_core``
-    call returned them; ``energy`` reuses them and computes the rest.
+    call returned them; ``energy`` reuses them and takes the rest from
+    ``avg_hamiltonian``.
     """
 
     config: PairConfig
@@ -72,16 +73,8 @@ class Trajectory:
         Columns: kinetic_classical, kinetic_uncertainty, kinetic_exchange,
         coulomb_direct, coulomb_exchange, total.
         """
-        sign = self.config.symmetry.sign
-        kappa = self.config.coupling
-        rows = list(self.stage1)
-        n = len(rows)
-        rest = zip(_squares(self.r[n:]).tolist(), _squares(self.p[n:]).tolist(),
-                   self.sigma[n:].tolist())
-        for rho, pp, s in rest:
-            # meanfield._core, not this module's alias: the benchmark tracer
-            # counts energy and right-hand-side calls apart
-            rows.append(meanfield._core(rho, pp, s, sign, kappa)[0])
+        rows = self.stage1 + [astuple(avg_hamiltonian(self.state(i)))
+                              for i in range(len(self.stage1), self.t.size)]
         terms = np.array(rows)
         # EnergyBreakdown.total: the five terms summed left to right
         total = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3] + terms[:, 4]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,16 +59,14 @@ def _axis_values(s: float, c: float, k: float, x: np.ndarray) -> np.ndarray:
 
 
 def _axis_deriv(s: float, c: float, k: float, x: np.ndarray, order: int) -> np.ndarray:
-    # analytic derivatives of the explicit Gaussian factor
+    # analytic derivatives of the explicit Gaussian factor (order 0, 1 or 2)
     base = _axis_values(s, c, k, x)
     g1 = -(x - c) / (2.0 * s * s) + 1j * k
     if order == 0:
         return base
     if order == 1:
         return g1 * base
-    if order == 2:
-        return (g1 * g1 - 1.0 / (2.0 * s * s)) * base
-    raise ValueError("derivative order must be 0, 1 or 2")
+    return (g1 * g1 - 1.0 / (2.0 * s * s)) * base
 
 
 # Gauss-Legendre nodes of every one-axis matrix element
@@ -230,28 +229,43 @@ class _Engine:
 
         return u0, m_of_u
 
-    def _axis_factors(self, combo, ax: int, t_scaled, yy: np.ndarray, gauss_y: np.ndarray):
+    @cached_property
+    def _scaled_rules(self):
+        """t segments of u = y/t, y nodes and exp(-y^2) y weights, set by s alone.
+
+        The tail t > 24/s runs over tau = 1/t; Gauss-Legendre nodes are interior.
+        """
+        s = self.s
+        t_hi = 24.0 / s
+        segments = [gauss_legendre(32, lo, hi) for lo, hi in ((0.5 / s, 4.0 / s), (4.0 / s, t_hi))]
+        tau, wtau = gauss_legendre(32, 0.0, 1.0 / t_hi)
+        tt = 1.0 / tau
+        segments.append((tt, wtau * tt * tt))
+        yy, wy = gauss_legendre(48, -7.0, 7.0)
+        return segments, yy, np.exp(-yy * yy) * wy
+
+    def _axis_factors(self, combo, ax: int):
         """Evaluated factors of one axis channel, each distinct channel once.
 
         Returns (u0, (uu, wu m(uu)), [K(t) per scaled t segment]).  The key
-        holds every number the channel reads: s and the centre and momentum
-        of its four packet factors, so combos whose factors coincide on this
-        axis (a y axis with no offset or momentum, or the coincident anchor)
-        share one evaluation.  Float keys treat 0.0 and -0.0 as equal, which
-        only flips the sign of zeros inside the channel.  A hit adds the same
-        node count as the miss that filled it.
+        holds the centre and momentum of the channel's four packet factors,
+        every number it reads besides the engine's s, so combos whose
+        factors coincide on this axis (a y axis with no offset or momentum,
+        or the coincident anchor) share one evaluation.  Float keys treat
+        0.0 and -0.0 as equal, which only flips the sign of zeros inside the
+        channel.  A hit adds the same node count as the miss that filled it.
         """
         (a1, a2), (b1, b2) = combo
-        key = ("axis", self.s,
-               *(v for which in (a1, b1, a2, b2) for v in self.factor(which, ax)))
+        key = ("axis", *(v for which in (a1, b1, a2, b2) for v in self.factor(which, ax)))
         entry = self._cache.get(key)
         if entry is None:
             start = self.nodes_used
             s = self.s
+            segments, yy, gauss_y = self._scaled_rules
             u0, m_of_u = self._axis_channel(combo, ax)
             uu, wu = gauss_legendre(96, u0 - 14.0 * s, u0 + 14.0 * s)
             # K(t) = (1/t) int m(y/t) exp(-y^2) dy on each scaled segment
-            scaled = [(m_of_u(yy[None, :] / tn[:, None]) @ gauss_y) / tn for tn in t_scaled]
+            scaled = [(m_of_u(yy[None, :] / tn[:, None]) @ gauss_y) / tn for tn, _ in segments]
             factors = (u0, (uu, wu * m_of_u(uu)), scaled)
             entry = self._cache[key] = (factors, self.nodes_used - start)
         else:
@@ -262,44 +276,25 @@ class _Engine:
         """int conj(Psi_bra) Psi_ket / |x1 - x2| over both particles.
 
         Uses 1/|u| = (2/sqrt(pi)) int exp(-t^2 u^2) dt, which keeps every
-        factor axis-separable.  Small t is handled on a fixed u grid; for
-        t above ~1/(2 s) the kernel is narrower than that grid resolves,
-        so the substitution u = y/t is integrated on a fixed y grid
-        instead (exact for every t).  The t tail uses tau = 1/t.  Each
+        factor axis-separable.  Below t = 1/(2 s) each channel's fixed u grid
+        is used, split at 1/(2 u_extent) < 1/(32 s); above it the kernel is
+        narrower than that grid resolves, so u = y/t is integrated on the
+        engine's ``_scaled_rules`` instead (exact for every t).  Each
         distinct axis channel is integrated once per engine
         (``_axis_factors``); ``nodes_used`` counts the rule's nodes per
         channel, hit or miss.
         """
         s = self.s
-        t_switch = 0.5 / s
-        t_hi = 24.0 / s
-        # scaled segments up to t_hi, then the 1/t tail
-        segments = [gauss_legendre(32, lo, hi) for lo, hi in ((t_switch, 4.0 / s), (4.0 / s, t_hi))]
-        tau, wtau = gauss_legendre(32, 0.0, 1.0 / t_hi)
-        mask = tau > 0
-        tt = 1.0 / tau[mask]
-        segments.append((tt, wtau[mask] * tt * tt))
-
-        yy, wy = gauss_legendre(48, -7.0, 7.0)
-        gauss_y = np.exp(-yy * yy) * wy
-        t_scaled = [tn for tn, _ in segments]
-        channels = [self._axis_factors(combo, ax, t_scaled, yy, gauss_y) for ax in range(3)]
+        segments, _, _ = self._scaled_rules
+        channels = [self._axis_factors(combo, ax) for ax in range(3)]
         u_extent = max(abs(u0) for u0, _, _ in channels) + 16.0 * s
-
-        def kernel_fixed(tnodes: np.ndarray) -> np.ndarray:
-            prod = np.ones(tnodes.size, dtype=complex)
-            for _, (uu, wm), _ in channels:
-                prod *= np.exp(-np.outer(tnodes, uu) ** 2) @ wm
-            return prod
-
         acc = 0.0 + 0.0j
-        # small-t segments on the fixed grid
-        breaks = sorted({0.0, min(0.5 / u_extent, t_switch), t_switch})
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            if hi <= lo:
-                continue
+        for lo, hi in ((0.0, 0.5 / u_extent), (0.5 / u_extent, 0.5 / s)):
             tn, tw = gauss_legendre(32, lo, hi)
-            acc += np.sum(tw * kernel_fixed(tn))
+            prod = np.ones(tn.size, dtype=complex)
+            for _, (uu, wm), _ in channels:
+                prod *= np.exp(-np.outer(tn, uu) ** 2) @ wm
+            acc += np.sum(tw * prod)
         for i, (tn, tw) in enumerate(segments):
             prod = np.ones(tn.size, dtype=complex)
             for _, _, scaled in channels:

@@ -82,8 +82,12 @@ class Trajectory:
 
 
 def _squares(v: np.ndarray) -> np.ndarray:
-    """Squared norm of every row of an (n, 3) array, summed as the RHS sums it."""
-    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+    """Squared norm of every row of an (n, 3) array, summed as the RHS sums it.
+
+    A square beyond the float range is inf, as in the stop rule's float sum.
+    """
+    with np.errstate(over="ignore"):
+        return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
 
 
 class Outcome(enum.Enum):

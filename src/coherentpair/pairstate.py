@@ -77,6 +77,8 @@ class PairConfig:
             raise ValueError("sigma must be positive, with a normal finite square")
         object.__setattr__(self, "r0", _vec3(self.r0))
         object.__setattr__(self, "p0", _vec3(self.p0))
+        if np.any(np.abs(self.r0) > sys.float_info.max / 2):
+            raise ValueError("r0 is beyond half the float range: the separation 2*r0 overflows")
         omega = 0.0 if self.frozen_width else 0.5 / (self.sigma * self.sigma)
         object.__setattr__(self, "omega", omega)
         if self.symmetry is ExchangeSymmetry.ANTISYMMETRIC and not (

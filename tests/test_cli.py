@@ -117,6 +117,17 @@ def test_simulate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_negative_exponent_value_is_attached_with_equals(tmp_path):
+    # argparse reads a lone "-1e-3" as a flag, so it needs "--pz=-1e-3"
+    tail = ["--dt", "0.1", "--t-max", "1"]
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--pz", "-1e-3", *tail, "--output", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert run(["simulate", "--pz=-1e-3", *tail, "--output", str(tmp_path / "a.csv")]) == 0
+    assert run(["simulate", "--pz", "-0.001", *tail, "--output", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_sweep_structure_and_jobs_invariance(tmp_path):
     base = [
         "sweep-traveltime", "--sigma", "1.0", "--r0", "5.0", "--spin", "antiparallel",
@@ -287,6 +298,38 @@ def test_extreme_finite_input_fails_with_one_line(tmp_path, capsys, args, code, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--pz", "-0.5", "--dt", "0.1", "--t-max", "0.3"],
+    ["quadrupole", "--pz", "-0.5", "--dt", "0.1", "--t-max", "0.3"],
+    ["density", "--pz", "-0.5", "--dt", "0.1", "--times", "0.3"],
+    _SWEEP,
+], ids=lambda args: args[0])
+def test_offset_beyond_half_the_float_range_exits_2(tmp_path, capsys, monkeypatch, args):
+    # the separation 2 r0 overflows: rejected with the configuration, before
+    # any sweep point runs
+    monkeypatch.setattr(cli.dynamics, "_sweep_point", None)
+    out = tmp_path / "x.out"
+    assert run(args + ["--r0", "9e307", "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid configuration:")
+    assert "r0" in err[0] and "2*r0" in err[0]
+    assert not out.exists()
+
+
+def test_sweep_point_whose_squared_separation_overflows_is_quiet(tmp_path, capsys):
+    # the p = 1e-150 pair recedes to |r| ~ 4e298: its |r|^2 is inf, as in
+    # the stop rule's float sum, and no numpy warning is printed
+    out = tmp_path / "x.csv"
+    argv = ["sweep-traveltime", "--p-min", "1e-160", "--p-max", "1e-150", "--steps", "2"]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text() == (
+        "p,t_coherent,t_classical,t_free,regime\n"
+        "1e-160,,,,error:the RK4 step from t=0 left the float range (OverflowError)\n"
+        "1e-150,,2e-148,1e+151,noreturn\n"
+    )
+
+
 def test_density_grid_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     # numpy raises a MemoryError subclass for a grid it cannot allocate; the
     # allocation is faked, since a real attempt on a host that overcommits
@@ -359,6 +402,8 @@ _P_SQUARED = {"simulate": "E_total", "quadrupole": "Dxx"}
     # no exchange terms: the state stays finite, |p|^2 = 1e320 does not
     pytest.param(["--pz=-1e160", "--spin", "distinguishable"], "sigma=1", _P_SQUARED,
                  id="pz-1e160-distinguishable"),
+    # the separation 2 r0 = 1.6e308 is finite, the tensor's r0^2 is not
+    pytest.param(["--r0", "8e307"], "sigma=1", _DXX, id="r0-8e307"),
 ])
 def test_non_finite_table_fails_before_writing(tmp_path, capsys, command, flags, named, column):
     out = tmp_path / "x.csv"

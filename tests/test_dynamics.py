@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from coherentpair import dynamics, meanfield, numerics, pairstate
 from coherentpair.dynamics import Outcome, Regime
@@ -669,3 +670,37 @@ def test_sweep_huge_horizon_is_an_error_record():
     records = dynamics.sweep_traveltime(make_config(p=0.5), [0.5], horizon_factor=1e300)
     assert records[0].t_coherent is None and records[0].regime is None
     assert "budget" in records[0].error
+
+
+def passthrough_delay(sigma, d0, coupling):
+    """C = (1/2 d0) int_0^d0 [V(d) - V(d0)] dd with V(d) = coupling erf(d/2 sigma)/d."""
+    def v(d):
+        if d == 0.0:
+            return coupling / (math.sqrt(math.pi) * sigma)
+        return coupling * math.erf(d / (2.0 * sigma)) / d
+
+    val, _ = quad(lambda d: v(d) - v(d0), 0.0, d0, epsabs=0.0, epsrel=1e-13)
+    return val / (2.0 * d0)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["spreading", "frozen"])
+@pytest.mark.parametrize("sigma, r0, coupling", [(1.0, 5.0, 1.0), (0.5, 5.0, 1.0), (2.0, 3.0, 0.5)])
+def test_fast_pair_passes_through_with_the_first_order_delay(sigma, r0, coupling, frozen):
+    # At high momentum the packets pass through each other: energy
+    # conservation with the bounded direct potential V (the exchange terms
+    # fall like exp(-4 sigma^2 p^2)) gives p^2 (t/t_free - 1) -> C + O(1/p^2).
+    # At default sweep settings the residual shrinks by 3.59-4.06 per
+    # doubling of p from 32 to 128 and is at most 1.4e-3 C at p = 128
+    # (sigma = 0.5, spreading); below p = 32 that case is not yet asymptotic.
+    c = passthrough_delay(sigma, 2.0 * r0, coupling)
+    grid = (32.0, 64.0, 128.0)
+    for sym in ExchangeSymmetry:
+        template = make_config(sigma=sigma, d0=2.0 * r0, symmetry=sym, coupling=coupling,
+                               frozen=frozen)
+        records = dynamics.sweep_traveltime(template, grid)
+        assert all(rec.regime is Regime.PASS_THROUGH for rec in records), sym
+        residual = [abs(p * p * (rec.t_coherent / rec.t_free - 1.0) - c)
+                    for p, rec in zip(grid, records)]
+        for coarse, fine in zip(residual, residual[1:]):
+            assert 3.5 < coarse / fine < 4.5, (sym, residual)
+        assert residual[-1] < 2e-3 * c, (sym, residual)

@@ -1,6 +1,7 @@
 """Tests for the symmetrized pair state."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +99,15 @@ def test_pair_amplitude_degenerate_antisymmetric():
 def test_antisymmetric_coincident_config_invalid():
     with pytest.raises(ValueError):
         PairConfig(1.0, symmetry=ExchangeSymmetry.ANTISYMMETRIC)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_offset_up_to_half_the_float_range(sign):
+    # every packet separation 2 r0 must be a finite float
+    half = sys.float_info.max / 2
+    assert np.isfinite(2.0 * PairConfig(1.0, np.array([0.0, sign * half, 0.0])).r0).all()
+    with pytest.raises(ValueError, match=r"r0 .*2\*r0"):
+        PairConfig(1.0, np.array([0.0, np.nextafter(sign * half, sign * math.inf), 0.0]))
 
 
 def test_density_particle_count():

@@ -11,6 +11,10 @@ and a plane-wave phase, so the quadrature runs in real arithmetic; that is
 algebra of the explicit exponents, not a closed form under test.  Each
 distinct per-axis Coulomb channel is integrated once per engine, and a
 combo that reuses one still counts the rule's nodes in ``nodes_used``.
+In units of the width each Gaussian block is a block built once per
+process (``_unit_rules``) times factors of one channel, so a channel costs
+one real matrix product per rule.  The one-axis matrix elements of
+an engine come from one table, built on its first read.
 Everything is deterministic: fixed node counts, fixed seed lists, no Monte
 Carlo.  An engine reads the ``PhaseState`` the dynamics integrates, and
 one expansion over particle orders (``_Engine._pair_sum``) serves the
@@ -22,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -58,19 +62,68 @@ def _axis_values(s: float, c: float, k: float, x: np.ndarray) -> np.ndarray:
     return norm * np.exp(-((x - c) ** 2) / (4.0 * s * s) + 1j * k * x)
 
 
-def _axis_deriv(s: float, c: float, k: float, x: np.ndarray, order: int) -> np.ndarray:
-    # analytic derivatives of the explicit Gaussian factor (order 0, 1 or 2)
-    base = _axis_values(s, c, k, x)
-    g1 = -(x - c) / (2.0 * s * s) + 1j * k
-    if order == 0:
-        return base
-    if order == 1:
-        return g1 * base
-    return (g1 * g1 - 1.0 / (2.0 * s * s)) * base
-
-
 # Gauss-Legendre nodes of every one-axis matrix element
 _AXIS_NODES = 160
+# the (poly, deriv) insertions of the one-axis elements the oracles read
+_INSERTIONS = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))
+
+
+@dataclass(frozen=True)
+class _UnitRules:
+    """The Coulomb quadrature rules of a channel in units of the width s.
+
+    A channel's w nodes are c_b + 10 s x, its fixed u grid u0 + 14 s u and
+    its scaled t segments t_hat / s, with u = y / t = s v and v = y / t_hat.
+    The Gaussian of particle 1 at offset d = w - c_a + u is
+    exp(-(d/s)^2 / 2): on the fixed grid d/s = 10 x + 14 u, the same for
+    every channel, and on the scaled segments
+    d/s = 10 x + v - b with b = u0/s, so ``scaled`` holds the b = 0 blocks.
+    """
+
+    x: np.ndarray          # w nodes on [-1, 1], (56,)
+    wx: np.ndarray
+    u: np.ndarray          # fixed u nodes on [-1, 1], (96,)
+    wu: np.ndarray
+    fixed: np.ndarray      # exp(-(10 x + 14 u)^2 / 2), (96, 56)
+    t_hat: np.ndarray      # nodes and weights of the three scaled segments, (3, 32)
+    wt_hat: np.ndarray
+    v: np.ndarray          # y / t_hat, (3, 32, 48)
+    gauss_y: np.ndarray    # exp(-y^2) y weights, (48,)
+    scaled: np.ndarray     # exp(-(10 x + v)^2 / 2), (3, 32 * 48, 56)
+
+
+@cache
+def _unit_rules() -> _UnitRules:
+    """The width-free Coulomb rules and Gaussian blocks, built once per process.
+
+    The scaled segments cover t_hat in (0.5, 4), (4, 24) and the tail
+    t_hat > 24, which runs over tau = 1/t_hat; Gauss-Legendre nodes are
+    interior.
+    """
+    x, wx = gauss_legendre(56, -1.0, 1.0)
+    u, wu = gauss_legendre(96, -1.0, 1.0)
+    fixed = 10.0 * x + 14.0 * u[:, None]
+    fixed *= fixed
+    fixed *= -0.5
+    np.exp(fixed, out=fixed)
+    segments = [gauss_legendre(32, 0.5, 4.0), gauss_legendre(32, 4.0, 24.0)]
+    tau, wtau = gauss_legendre(32, 0.0, 1.0 / 24.0)
+    tt = 1.0 / tau
+    segments.append((tt, wtau * tt * tt))
+    t_hat, wt_hat = (np.stack(col) for col in zip(*segments))
+    y, wy = gauss_legendre(48, -7.0, 7.0)
+    v = y / t_hat[..., None]
+    # the (3, 32, 48, 56) block in one buffer
+    scaled = 10.0 * x + v[..., None]
+    scaled *= scaled
+    scaled *= -0.5
+    np.exp(scaled, out=scaled)
+    rules = _UnitRules(x, wx, u, wu, fixed, t_hat, wt_hat, v, np.exp(-y * y) * wy,
+                       scaled.reshape(3, -1, x.size))
+    # every engine in the process reads these arrays
+    for arr in vars(rules).values():
+        arr.flags.writeable = False
+    return rules
 
 
 class _Engine:
@@ -94,24 +147,37 @@ class _Engine:
             return float(self.c[ax]), float(self.k[ax])
         return float(-self.c[ax]), float(-self.k[ax])
 
+    @cached_property
+    def _elements(self) -> dict[tuple[int, int], np.ndarray]:
+        """Every one-axis element, indexed [a - 1, b - 1, axis] per (poly, deriv) insertion.
+
+        Each (a, b, axis) entry is a 160-node Gauss-Legendre sum over
+        [min(c_a, c_b) - 12 s, max(c_a, c_b) + 12 s] of conj(phi_a) times
+        x^poly d^deriv phi_b, the derivatives taken analytically; the bra
+        and the underived ket are evaluated once for all of them.
+        """
+        s = self.s
+        centres = np.stack((self.c, -self.c))[..., None]
+        momenta = np.stack((self.k, -self.k))[..., None]
+        ca, ka = centres[:, None], momenta[:, None]
+        cb, kb = centres[None], momenta[None]
+        # gauss_legendre broadcasts over the (2, 2, 3) interval ends
+        x, w = gauss_legendre(_AXIS_NODES, np.minimum(ca, cb) - 12.0 * s,
+                              np.maximum(ca, cb) + 12.0 * s)
+        bra = w * np.conj(_axis_values(s, ca, ka, x))
+        base = _axis_values(s, cb, kb, x)
+        g1 = -(x - cb) / (2.0 * s * s) + 1j * kb
+        kets = (base, base * x, base * x ** 2, g1 * base, (g1 * g1 - 1.0 / (2.0 * s * s)) * base)
+        return {op: np.sum(bra * ket, axis=-1) for op, ket in zip(_INSERTIONS, kets)}
+
     def elem(self, a: int, b: int, ax: int, poly: int = 0, deriv: int = 0) -> complex:
-        """<phi_a | x^poly d^deriv | phi_b> on one axis."""
+        """<phi_a | x^poly d^deriv | phi_b> on one axis; a first read counts its nodes."""
         key = (a, b, ax, poly, deriv)
         got = self._cache.get(key)
-        if got is not None:
-            return got
-        s = self.s
-        ca, ka = self.factor(a, ax)
-        cb, kb = self.factor(b, ax)
-        x, w = gauss_legendre(_AXIS_NODES, min(ca, cb) - 12.0 * s, max(ca, cb) + 12.0 * s)
-        bra = np.conj(_axis_values(s, ca, ka, x))
-        ket = _axis_deriv(s, cb, kb, x, deriv)
-        if poly:
-            ket = ket * x ** poly
-        val = complex(np.sum(w * bra * ket))
-        self.nodes_used += x.size
-        self._cache[key] = val
-        return val
+        if got is None:
+            got = self._cache[key] = complex(self._elements[poly, deriv][a - 1, b - 1, ax])
+            self.nodes_used += _AXIS_NODES
+        return got
 
     def one_body(self, a: int, b: int, ops: dict[int, tuple[int, int]]) -> complex:
         """Product over axes of elem with insertions given per axis."""
@@ -183,94 +249,81 @@ class _Engine:
     # ----- Coulomb kernel ---------------------------------------------------
 
     def _axis_channel(self, combo, ax: int):
-        """Per-axis factors of one bra-ket combo: callable m(u) and its data.
+        """Per-axis data of one bra-ket combo: (u0, dk, inner).
 
-        m(u) = int conj(phi_a1)(w + u) phi_b1(w + u) conj(phi_a2)(w)
-               phi_b2(w) dw, evaluated by a fixed Gauss-Legendre rule in w
-        for any array of u values.
+        The channel is m(u) = int conj(phi_a1)(w + u) phi_b1(w + u)
+        conj(phi_a2)(w) phi_b2(w) dw, by the 56-node w rule of
+        ``_unit_rules`` on c_b +/- 10 s.
 
         By the Gaussian product rule (Boys 1950) the particle-1 factor is
         conj(phi_a1)(x) phi_b1(x) = A exp(-(x - c_a)^2 / (2 s^2)) exp(i dk x)
         with c_a = (c_a1 + c_b1)/2, dk = k_b1 - k_a1 and
         A = (2 pi s^2)^-1/2 exp(-(c_a1 - c_b1)^2 / (8 s^2)).  At x = w + u
-        the phase splits: A exp(i dk w) joins the fixed w weights and
-        exp(i dk u) leaves the w sum, so each u costs one real Gaussian per
-        node and one real matrix product.  This only rewrites the exponent
-        of the explicit wave functions; no closed form under test enters.
+        the phase splits: A exp(i dk w) joins the w weights and the
+        particle-2 factors in ``inner``, the real and imaginary parts as the
+        columns of one real (56, 2) matrix, and exp(i dk u) leaves the w sum,
+        so m(u) = exp(i dk u) sum_w exp(-(w - c_a + u)^2 / (2 s^2)) inner(w)
+        and u0 = c_a - c_b.  This only rewrites the exponent of the explicit
+        wave functions; no closed form under test enters.
+
+        Domain: ``_axis_factors`` splits the scaled Gaussian into width-free
+        factors with exponents up to about 10 |b|, b = u0/s, so their
+        rounding grows with |b| and exp(10 b x) overflows past |b| ~ 70.
+        Drawn states have |b| <= 5.1: |r| <= 4.2 sigma + 0.9 sigma and
+        s >= sigma.
         """
         (a1, a2), (b1, b2) = combo
         s = self.s
+        rules = _unit_rules()
         ca1, ka1 = self.factor(a1, ax)
         cb1, kb1 = self.factor(b1, ax)
         ca2, ka2 = self.factor(a2, ax)
         cb2, kb2 = self.factor(b2, ax)
-        c_a = 0.5 * (ca1 + cb1)
         c_b = 0.5 * (ca2 + cb2)
-        u0 = c_a - c_b
+        u0 = 0.5 * (ca1 + cb1) - c_b
         dk = kb1 - ka1
-        ww, wwgt = gauss_legendre(56, c_b - 10.0 * s, c_b + 10.0 * s)
+        ww = c_b + 10.0 * s * rules.x
         amp = math.exp(-((ca1 - cb1) ** 2) / (8.0 * s * s)) / math.sqrt(2.0 * math.pi * s * s)
-        inner = (amp * wwgt * np.exp(1j * dk * ww)
+        inner = (amp * 10.0 * s * rules.wx * np.exp(1j * dk * ww)
                  * np.conj(_axis_values(s, ca2, ka2, ww)) * _axis_values(s, cb2, kb2, ww))
-        # real and imaginary parts as the columns of one real (56, 2) matrix
-        inner_re_im = np.stack((inner.real, inner.imag), axis=1)
-        offset = ww - c_a
-        scale = -0.5 / (s * s)
-
-        def m_of_u(u: np.ndarray) -> np.ndarray:
-            d = offset + u[..., None]
-            self.nodes_used += d.size
-            # the Gaussian block exp(scale d^2), built in one buffer
-            g = scale * d
-            g *= d
-            np.exp(g, out=g)
-            re_im = g @ inner_re_im
-            return (re_im[..., 0] + 1j * re_im[..., 1]) * np.exp(1j * dk * u)
-
-        return u0, m_of_u
-
-    @cached_property
-    def _scaled_rules(self):
-        """t segments of u = y/t, y nodes and exp(-y^2) y weights, set by s alone.
-
-        The tail t > 24/s runs over tau = 1/t; Gauss-Legendre nodes are interior.
-        """
-        s = self.s
-        t_hi = 24.0 / s
-        segments = [gauss_legendre(32, lo, hi) for lo, hi in ((0.5 / s, 4.0 / s), (4.0 / s, t_hi))]
-        tau, wtau = gauss_legendre(32, 0.0, 1.0 / t_hi)
-        tt = 1.0 / tau
-        segments.append((tt, wtau * tt * tt))
-        yy, wy = gauss_legendre(48, -7.0, 7.0)
-        return segments, yy, np.exp(-yy * yy) * wy
+        return u0, dk, np.stack((inner.real, inner.imag), axis=1)
 
     def _axis_factors(self, combo, ax: int):
         """Evaluated factors of one axis channel, each distinct channel once.
 
-        Returns (u0, (uu, wu m(uu)), [K(t) per scaled t segment]).  The key
-        holds the centre and momentum of the channel's four packet factors,
-        every number it reads besides the engine's s, so combos whose
-        factors coincide on this axis (a y axis with no offset or momentum,
-        or the coincident anchor) share one evaluation.  Float keys treat
-        0.0 and -0.0 as equal, which only flips the sign of zeros inside the
-        channel.  A hit adds the same node count as the miss that filled it.
+        Returns (u0, (uu, wu m(uu)), K) with K[i] = (1/t) int m(y/t)
+        exp(-y^2) dy at the nodes t = t_hat / s of scaled segment i.  With
+        b = u0/s, the scaled Gaussian exp(-(10 x + v - b)^2 / 2) is the
+        width-free block exp(-(10 x + v)^2 / 2) times exp(10 b x), which
+        joins ``inner``, times exp(b v - b^2 / 2), which leaves the w sum
+        with the phase exp(i dk s v); the fixed block needs no factor.  So a
+        channel costs one real matrix product per rule.  The key holds the centre and
+        momentum of the channel's four packet factors, every number it reads
+        besides the engine's s, so combos whose factors coincide on this
+        axis (a y axis with no offset or momentum, or the coincident anchor)
+        share one evaluation.  Float keys treat 0.0 and -0.0 as equal, which
+        only flips the sign of zeros inside the channel.  Every read adds the
+        nodes of both blocks to ``nodes_used``, hit or miss.
         """
         (a1, a2), (b1, b2) = combo
+        rules = _unit_rules()
+        self.nodes_used += rules.fixed.size + rules.scaled.size
         key = ("axis", *(v for which in (a1, b1, a2, b2) for v in self.factor(which, ax)))
-        entry = self._cache.get(key)
-        if entry is None:
-            start = self.nodes_used
+        factors = self._cache.get(key)
+        if factors is None:
             s = self.s
-            segments, yy, gauss_y = self._scaled_rules
-            u0, m_of_u = self._axis_channel(combo, ax)
-            uu, wu = gauss_legendre(96, u0 - 14.0 * s, u0 + 14.0 * s)
-            # K(t) = (1/t) int m(y/t) exp(-y^2) dy on each scaled segment
-            scaled = [(m_of_u(yy[None, :] / tn[:, None]) @ gauss_y) / tn for tn, _ in segments]
-            factors = (u0, (uu, wu * m_of_u(uu)), scaled)
-            entry = self._cache[key] = (factors, self.nodes_used - start)
-        else:
-            self.nodes_used += entry[1]
-        return entry[0]
+            u0, dk, inner = self._axis_channel(combo, ax)
+            uu = u0 + 14.0 * s * rules.u
+            re_im = rules.fixed @ inner
+            fixed = (uu, 14.0 * s * rules.wu * (re_im[:, 0] + 1j * re_im[:, 1])
+                     * np.exp(1j * dk * uu))
+            b = u0 / s
+            re_im = rules.scaled @ (np.exp(10.0 * b * rules.x)[:, None] * inner)
+            m = ((re_im[..., 0] + 1j * re_im[..., 1]).reshape(rules.v.shape)
+                 * np.exp((b + 1j * dk * s) * rules.v - 0.5 * b * b))
+            scaled = (m @ rules.gauss_y) / (rules.t_hat / s)
+            factors = self._cache[key] = (u0, fixed, scaled)
+        return factors
 
     def coulomb_combo(self, combo) -> float:
         """int conj(Psi_bra) Psi_ket / |x1 - x2| over both particles.
@@ -279,13 +332,12 @@ class _Engine:
         factor axis-separable.  Below t = 1/(2 s) each channel's fixed u grid
         is used, split at 1/(2 u_extent) < 1/(32 s); above it the kernel is
         narrower than that grid resolves, so u = y/t is integrated on the
-        engine's ``_scaled_rules`` instead (exact for every t).  Each
+        scaled segments of ``_unit_rules`` instead (exact for every t).  Each
         distinct axis channel is integrated once per engine
         (``_axis_factors``); ``nodes_used`` counts the rule's nodes per
         channel, hit or miss.
         """
         s = self.s
-        segments, _, _ = self._scaled_rules
         channels = [self._axis_factors(combo, ax) for ax in range(3)]
         u_extent = max(abs(u0) for u0, _, _ in channels) + 16.0 * s
         acc = 0.0 + 0.0j
@@ -295,8 +347,8 @@ class _Engine:
             for _, (uu, wm), _ in channels:
                 prod *= np.exp(-np.outer(tn, uu) ** 2) @ wm
             acc += np.sum(tw * prod)
-        for i, (tn, tw) in enumerate(segments):
-            prod = np.ones(tn.size, dtype=complex)
+        for i, tw in enumerate(_unit_rules().wt_hat / s):
+            prod = np.ones(tw.size, dtype=complex)
             for _, _, scaled in channels:
                 prod *= scaled[i]
             acc += np.sum(tw * prod)
@@ -493,7 +545,11 @@ def load_seed_lists(path: str | None = None) -> dict[str, list[int]]:
         return {family: list(range(start, start + step * count, step))
                 for family, (start, step, count) in _DEFAULT_SEEDS.items()}
     with open(path, "r", encoding="utf-8") as fh:
-        lists = json.load(fh)
+        try:
+            lists = json.load(fh)
+        except RecursionError:
+            # json nests one Python call per array or object level
+            raise ValueError("seed list file nests too deeply") from None
     if not isinstance(lists, dict):
         raise ValueError("seed list file must hold a JSON object")
     for family in _DEFAULT_SEEDS:

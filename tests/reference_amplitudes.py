@@ -5,7 +5,8 @@ functions let the tests integrate |psi|^2 by brute force and compare.  The
 amplitudes take one point of shape (3,) or an array of points of shape
 (..., 3) and return complex values of shape ``r.shape[:-1]``.
 ``coulomb_channel`` is the oracle's per-axis Coulomb factor built the same
-way, from the explicit Gaussians at every quadrature node.
+way, from the explicit Gaussians at every quadrature node, and
+``axis_element`` one of its one-axis matrix elements on a rule of its own.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from coherentpair.errors import DegenerateState
 from coherentpair.numerics import gauss_legendre
-from coherentpair.oracle import _axis_values
+from coherentpair.oracle import _AXIS_NODES, _axis_values
 from coherentpair.pairstate import _DEGENERATE_EPS, ExchangeSymmetry, PairConfig, overlap
 
 
@@ -87,3 +88,32 @@ def coulomb_channel(eng, combo, ax: int):
         return (np.conj(_axis_values(s, ca1, ka1, x1)) * _axis_values(s, cb1, kb1, x1)) @ inner
 
     return u0, m_of_u
+
+
+def _axis_deriv(s: float, c: float, k: float, x, order: int):
+    # analytic derivatives of the explicit Gaussian factor (order 0, 1 or 2)
+    base = _axis_values(s, c, k, x)
+    g1 = -(x - c) / (2.0 * s * s) + 1j * k
+    if order == 0:
+        return base
+    if order == 1:
+        return g1 * base
+    return (g1 * g1 - 1.0 / (2.0 * s * s)) * base
+
+
+def axis_element(eng, a: int, b: int, ax: int, poly: int, deriv: int) -> complex:
+    """<phi_a | x^poly d^deriv | phi_b> on one axis, one Gauss-Legendre sum per element.
+
+    The rule has the oracle's 160 nodes on [min(c_a, c_b) - 12 s,
+    max(c_a, c_b) + 12 s]; only the width and per-axis factors of the
+    engine ``eng`` are read.
+    """
+    s = eng.s
+    ca, ka = eng.factor(a, ax)
+    cb, kb = eng.factor(b, ax)
+    x, w = gauss_legendre(_AXIS_NODES, min(ca, cb) - 12.0 * s, max(ca, cb) + 12.0 * s)
+    bra = np.conj(_axis_values(s, ca, ka, x))
+    ket = _axis_deriv(s, cb, kb, x, deriv)
+    if poly:
+        ket = ket * x ** poly
+    return complex(np.sum(w * bra * ket))

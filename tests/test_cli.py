@@ -544,7 +544,9 @@ def test_validate_small_seed_list(tmp_path, capsys):
     '{"overlap": ["x"], "coulomb": [], "kinetic": [], "moments": []}',
     "[1, 2]",
     '{"overlap": [1.5], "coulomb": [], "kinetic": [], "moments": []}',
-], ids=["empty", "string", "array", "float"])
+    # json.load recurses once per level
+    "[" * 100000 + "]" * 100000,
+], ids=["empty", "string", "array", "float", "deep"])
 def test_validate_malformed_seed_list_exits_2(tmp_path, capsys, content):
     seeds = tmp_path / "seeds.json"
     seeds.write_text(content)

@@ -11,7 +11,7 @@ from coherentpair import oracle
 from coherentpair.meanfield import PhaseState
 from coherentpair.numerics import gauss_legendre
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
-from reference_amplitudes import coulomb_channel
+from reference_amplitudes import axis_element, coulomb_channel
 
 
 def test_draws_are_deterministic():
@@ -211,37 +211,32 @@ def test_shared_axis_channels_are_exact(combo):
         assert shared.nodes_used - before == fresh.nodes_used
 
 
-def _count_gaussian_blocks(monkeypatch):
+def _count_axis_channels(monkeypatch):
     calls = []
     channel = oracle._Engine._axis_channel
 
     def counted(self, combo, ax):
-        u0, m_of_u = channel(self, combo, ax)
-
-        def m_counted(u):
-            calls.append((combo, ax))
-            return m_of_u(u)
-
-        return u0, m_counted
+        calls.append((combo, ax))
+        return channel(self, combo, ax)
 
     monkeypatch.setattr(oracle._Engine, "_axis_channel", counted)
     return calls
 
 
 def test_anchor_coulomb_evaluates_one_axis_channel(monkeypatch):
-    # two combos x three axes with equal inputs: one fixed grid and three scaled segments
-    calls = _count_gaussian_blocks(monkeypatch)
+    # two combos x three axes with equal inputs: one channel
+    calls = _count_axis_channels(monkeypatch)
     oracle._Engine(_anchor_state()).expect_coulomb()
-    assert len(calls) == 4
+    assert len(calls) == 1
 
 
 def test_coulomb_seed_shares_its_y_channel(monkeypatch):
     # every drawn packet has y = 0 and k_y = 0, so both combos share one y channel
-    calls = _count_gaussian_blocks(monkeypatch)
+    calls = _count_axis_channels(monkeypatch)
     state = oracle.draw_phase_state(20000)
     assert state.config.symmetry is not ExchangeSymmetry.DISTINGUISHABLE
     oracle.oracle_coulomb(state)
-    assert len(calls) == 20
+    assert len(calls) == 5
 
 
 # draw 0 is symmetric, draw 1 antisymmetric
@@ -254,24 +249,63 @@ def test_relative_momentum_vanishes_in_the_symmetrized_state(seed):
     assert np.all(eng.expect_p_rel() == 0.0)
 
 
-@pytest.mark.parametrize("combo", [((1, 2), (1, 2)), ((1, 2), (2, 1))])
+@pytest.mark.parametrize("combo", _COMBOS)
 def test_axis_channel_matches_complex_product(combo):
-    # the product-rule factoring against all four Gaussians multiplied node by node
-    yy, _ = gauss_legendre(48, -7.0, 7.0)
+    # the product-rule factoring and the width-free Gaussian blocks against all
+    # four Gaussians multiplied node by node, at the engine's own u and t nodes
+    yy, wy = gauss_legendre(48, -7.0, 7.0)
+    gauss_y = np.exp(-yy * yy) * wy
     worst = 0.0
     for seed in range(20000, 20020):
         state = oracle.draw_phase_state(seed)
         s = state.width
-        tt = np.geomspace(0.5 / s, 1e4 / s, 32)
         for ax in range(3):
             eng = oracle._Engine(state)
-            u0, m_of_u = eng._axis_channel(combo, ax)
+            u0, (uu, wm), scaled = eng._axis_factors(combo, ax)
             ref_u0, ref_m = coulomb_channel(eng, combo, ax)
             assert u0 == ref_u0
-            fixed, _ = gauss_legendre(96, u0 - 14.0 * s, u0 + 14.0 * s)
-            for u in (fixed, yy[None, :] / tt[:, None]):
-                got, want = m_of_u(u), ref_m(u)
-                assert got.shape == want.shape == u.shape
+            ref_uu, ref_wu = gauss_legendre(96, u0 - 14.0 * s, u0 + 14.0 * s)
+            np.testing.assert_allclose(uu, ref_uu, rtol=0.0, atol=1e-14 * s)
+            pairs = [(wm, ref_wu * ref_m(uu))]
+            for tn, got in zip(oracle._unit_rules().t_hat / s, scaled, strict=True):
+                pairs.append((got, (ref_m(yy[None, :] / tn[:, None]) @ gauss_y) / tn))
+            for got, want in pairs:
+                assert got.shape == want.shape
                 worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
-            assert eng.nodes_used == 56 * (96 + 32 * 48)
+            assert eng.nodes_used == 56 * (96 + 3 * 32 * 48)
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("family", ["coulomb", "kinetic", "moments"])
+def test_element_table_matches_per_element_quadrature(family):
+    # all 60 one-axis elements of an engine against one quadrature per element
+    start, step, _ = oracle._DEFAULT_SEEDS[family]
+    keys = [(a, b, ax, poly, deriv) for a in (1, 2) for b in (1, 2) for ax in range(3)
+            for poly, deriv in oracle._INSERTIONS]
+    assert len(keys) == 60
+    for seed in range(start, start + 10 * step, step):
+        eng = oracle._Engine(oracle.draw_phase_state(seed))
+        want = [axis_element(eng, *key) for key in keys]
+        got = []
+        for key in keys:
+            before = eng.nodes_used
+            got.append(eng.elem(*key))
+            assert eng.nodes_used - before == 160
+            assert eng.elem(*key) == got[-1] and eng.nodes_used - before == 160
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(got)))
+
+
+def test_drawn_coulomb_channels_stay_in_the_factorisation_domain():
+    # |u0|/s <= |r|/s <= (4.2 + 0.9) sigma / sigma, and the split
+    # exponentials of every drawn state neither overflow nor go invalid
+    worst = 0.0
+    for seed in range(20000, 22000):
+        state = oracle.draw_phase_state(seed)
+        eng = oracle._Engine(state)
+        for combo in _COMBOS:
+            for ax in range(3):
+                u0, _, _ = eng._axis_channel(combo, ax)
+                worst = max(worst, abs(u0) / eng.s)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            oracle.oracle_coulomb(state)
+    assert worst <= 5.1

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,20 @@ def test_quadrupole_rows_match_per_value_format(tmp_path, monkeypatch):
         assert row == ",".join(cli._fmt(float(v)) for v in values) + "," + label
     assert all(row.endswith(",") for row in rows[:-1])
     assert rows[1].split(",")[1] == "-0"  # d_xx = -0.0 on the second sample
+
+
+def test_quadrupole_one_row_series_writes_its_verdict_on_the_first_row(tmp_path, monkeypatch):
+    # the rows before the verdict row form an empty table
+    values = (5e-324, -0.0, 123456789012.5, 1e-5)
+    tensor = observables.QuadrupoleTensor(*(np.array([v]) for v in values))
+    traj = types.SimpleNamespace(t=np.array([0.0]))
+    monkeypatch.setattr(cli, "_run_trajectory", lambda args: (traj, tensor))
+    verdict = observables.SeriesVerdict(observables.SeriesKind.OSCILLATORY, 0)
+    monkeypatch.setattr(observables, "detect", lambda series: verdict)
+    out = tmp_path / "quad.csv"
+    assert run(["quadrupole", "--output", str(out)]) == 0
+    row = "0,4.94065645841e-324,-0,123456789012,1e-05,oscillatory"
+    assert out.read_text() == cli.QUADRUPOLE_HEADER + "\n" + row + "\n"
 
 
 def test_validate_small_seed_list(tmp_path, capsys):

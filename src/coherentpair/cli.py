@@ -230,7 +230,7 @@ def _cmd_simulate(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         energy = traj.energy
         columns = (
-            traj.t, traj.r, traj.p, traj.sigma, traj.overlap,
+            traj.t, traj.r, traj.p, traj.width, traj.overlap,
             energy[:, 5], energy[:, 3] + energy[:, 4],
             tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz,
         )

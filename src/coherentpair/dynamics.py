@@ -38,20 +38,19 @@ FROZEN_RATIO = 1.0
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Path of one integration run: r, p and the width at every sample time.
+    """Path of one integration run: r and p at every sample time.
 
-    ``overlap`` and ``energy`` are derived from the path when first read,
-    then kept.  ``stage1`` holds the energy terms of every sample that
-    started an RK4 step (all but the last), as the step's stage-1 ``_core``
-    call returned them; ``energy`` reuses them and takes the rest from
-    ``avg_hamiltonian``.
+    ``width``, ``overlap`` and ``energy`` are derived from the path and its
+    config when first read, then kept.  ``stage1`` holds the energy terms
+    of every sample that started an RK4 step (all but the last), as the
+    step's stage-1 ``_core`` call returned them; ``energy`` reuses them and
+    takes the rest from ``avg_hamiltonian``.
     """
 
     config: PairConfig
     t: np.ndarray
     r: np.ndarray
     p: np.ndarray
-    sigma: np.ndarray
     stage1: list = field(repr=False)
 
     @property
@@ -62,9 +61,14 @@ class Trajectory:
         return PhaseState(self.r[i], self.p[i], float(self.t[i]), self.config)
 
     @cached_property
+    def width(self) -> np.ndarray:
+        """Packet width sigma_x(t) at every sample, as ``PhaseState.width`` gives it."""
+        return np.array([self.config.width(t) for t in self.t.tolist()])
+
+    @cached_property
     def overlap(self) -> np.ndarray:
         """Packet overlap N at every sample."""
-        return overlap_from_params(0.25 * _squares(self.r), _squares(self.p), self.sigma)
+        return overlap_from_params(0.25 * _squares(self.r), _squares(self.p), self.width)
 
     @cached_property
     def energy(self) -> np.ndarray:
@@ -130,12 +134,10 @@ def integrate(
     integration ends on the first sample back at or beyond it after having
     dipped below, the sample on which ``traveltime`` finds the return.
 
-    Each step is ``numerics.rk4_step`` on the six floats of (r, p); it keeps
-    the energy terms of its stage-1 ``_core`` call for ``Trajectory.energy``.
-
-    A head-on start, whose r_x, r_y, p_x and p_y are all +0.0, is stepped
-    on (r_z, p_z) alone, by the same stages fused on two floats.  Those
-    four stay +0.0 in the six-float stages: each of their rates is a
+    Each step is ``numerics.rk4_step`` on the six floats of (r, p), except
+    that a head-on start, whose r_x, r_y, p_x and p_y are all +0.0, is
+    stepped on (r_z, p_z) alone, by the same stages fused on two floats.
+    Those four stay +0.0 in the six-float stages: each of their rates is a
     finite gradient times +0.0, a signed zero, and +0.0 plus a signed
     zero is +0.0.  So every rho, |p|^2 and sample is the six-float one,
     and the x and y columns come out +0.0.  A -0.0 component does not
@@ -172,14 +174,14 @@ def integrate(
         gp = 2.0 * de_dpp
         return gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz
 
-    def full_step(y, t, s):
-        """Stage-1 energy terms, the state and the width one step after (y, t)."""
+    def full_step(y, t):
+        """Stage-1 energy terms and the state one step after (y, t)."""
         stage_terms.clear()
         # read from the module, where the benchmark tracer counts its calls
         y = numerics.rk4_step(y, t, dt, deriv)
-        return stage_terms[0], y, width(t + dt)
+        return stage_terms[0], y
 
-    def axis_step(y, t, s):
+    def axis_step(y, t):
         """``full_step`` of a state whose x and y entries are +0.0.
 
         The stages are those of ``deriv`` without the +0.0 terms (0 + 0 +
@@ -188,7 +190,7 @@ def integrate(
         """
         rz, pz = y[2], y[5]
         try:
-            terms, de_drho, de_dpp = _core(rz * rz, pz * pz, s, sign, kappa)
+            terms, de_drho, de_dpp = _core(rz * rz, pz * pz, width(t), sign, kappa)
             a3 = 2.0 * de_dpp * pz
             a6 = -(2.0 * de_drho) * rz
             s_half = width(t + h)
@@ -200,18 +202,17 @@ def integrate(
             _, de_drho, de_dpp = _core(z * z, q * q, s_half, sign, kappa)
             c3 = 2.0 * de_dpp * q
             c6 = -(2.0 * de_drho) * z
-            s_next = width(t + dt)
             z, q = rz + dt * c3, pz + dt * c6
-            _, de_drho, de_dpp = _core(z * z, q * q, s_next, sign, kappa)
+            _, de_drho, de_dpp = _core(z * z, q * q, width(t + dt), sign, kappa)
             d3 = 2.0 * de_dpp * q
             d6 = -(2.0 * de_drho) * z
         except (ArithmeticError, CoherentPairError):
-            return full_step(y, t, s)
+            return full_step(y, t)
         rz += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
         pz += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
         if not (math.isfinite(rz) and math.isfinite(pz)):
-            return full_step(y, t, s)
-        return terms, (0.0, 0.0, rz, 0.0, 0.0, pz), s_next
+            return full_step(y, t)
+        return terms, (0.0, 0.0, rz, 0.0, 0.0, pz)
 
     y = tuple(initial.r.tolist() + initial.p.tolist())
     # +0.0 only: copysign tells -0.0 apart, == does not
@@ -223,15 +224,12 @@ def integrate(
     stage1 = []
     dipped = False
     try:
-        s = width(t)
-        sigmas = [s]
         for _ in range(n_steps):
-            terms, y, s = step(y, t, s)
+            terms, y = step(y, t)
             stage1.append(terms)
             t = t + dt
             ts.append(t)
             ys.append(y)
-            sigmas.append(s)
             if stop_at_separation is not None:
                 # the expression Trajectory.separation evaluates, bit for bit
                 rx, ry, rz = y[:3]
@@ -241,13 +239,13 @@ def integrate(
                 elif dipped:
                     break
     except ArithmeticError as exc:
-        # a width or energy term left the float range: huge t, tiny or huge sigma
+        # an energy term left the float range: huge t, tiny or huge sigma
         raise NonFinite(
             f"the RK4 step from t={t:.6g} left the float range ({type(exc).__name__})"
         ) from exc
 
     yarr = np.array(ys)
-    return Trajectory(config, np.array(ts), yarr[:, :3], yarr[:, 3:], np.array(sigmas), stage1)
+    return Trajectory(config, np.array(ts), yarr[:, :3], yarr[:, 3:], stage1)
 
 
 def traveltime(traj: Trajectory) -> TraveltimeResult:
@@ -327,14 +325,13 @@ def classify(traj: Trajectory, result: TraveltimeResult) -> Regime:
     a return the trajectory is frozen when d(t)/sigma_x(t) stays below
     FROZEN_RATIO over the final quarter, otherwise NO_RETURN.
     """
-    sigma = traj.config.sigma
     if result.outcome is Outcome.RETURN:
-        if result.d_min < PASSTHROUGH_FRACTION * sigma:
+        if result.d_min < PASSTHROUGH_FRACTION * traj.config.sigma:
             return Regime.PASS_THROUGH
         return Regime.CLASSICAL_LIKE
     d = traj.separation
     start = (3 * d.size) // 4
-    ratio = d[start:] / traj.sigma[start:]
+    ratio = d[start:] / traj.width[start:]
     if float(np.max(ratio)) < FROZEN_RATIO:
         return Regime.FROZEN
     return Regime.NO_RETURN

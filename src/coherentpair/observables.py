@@ -109,7 +109,7 @@ class SeriesVerdict:
 
 def quadrupole_timeseries(traj) -> QuadrupoleTensor:
     """Tensor at every trajectory sample from the instantaneous (r, p, s)."""
-    return tensor_from_params(0.5 * traj.r, traj.p, traj.sigma, traj.config.symmetry.sign)
+    return tensor_from_params(0.5 * traj.r, traj.p, traj.width, traj.config.symmetry.sign)
 
 
 def detect(series: QuadrupoleTensor) -> SeriesVerdict:

@@ -319,14 +319,16 @@ def test_offset_beyond_half_the_float_range_exits_2(tmp_path, capsys, monkeypatc
 
 def test_sweep_point_whose_squared_separation_overflows_is_quiet(tmp_path, capsys):
     # the p = 1e-150 pair recedes to |r| ~ 4e298: its |r|^2 is inf, as in
-    # the stop rule's float sum, and no numpy warning is printed
+    # the stop rule's float sum, and no numpy warning is printed.  The
+    # p = 1e-160 point's width reaches 1.25e159 on the first step; the
+    # kernel's sigma_x^2 overflows there and its gradient is nan
     out = tmp_path / "x.csv"
     argv = ["sweep-traveltime", "--p-min", "1e-160", "--p-max", "1e-150", "--steps", "2"]
     assert run(argv + ["--output", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert out.read_text() == (
         "p,t_coherent,t_classical,t_free,regime\n"
-        "1e-160,,,,error:the RK4 step from t=0 left the float range (OverflowError)\n"
+        "1e-160,,,,error:the RK4 step from t=0 produced a non-finite state\n"
         "1e-150,,2e-148,1e+151,noreturn\n"
     )
 
@@ -435,13 +437,12 @@ def test_non_finite_state_fails_before_writing(tmp_path, capsys, spin, pz, px):
 
 
 def test_sweep_point_with_overflowing_width_is_an_error_row(tmp_path):
+    # the width 5e293 at t = dt is finite; its square in the kernel is not
     out = tmp_path / "sweep.csv"
     assert run(_SWEEP + ["--t-max", "1e300", "--dt", "1e294", "--output", str(out)]) == 0
-    rows = out.read_text().splitlines()[1:]
-    assert [row.split(",")[0] for row in rows] == ["0.2", "0.4"]
-    for row in rows:
-        assert row.split(",")[1:4] == ["", "", ""]
-        assert row.split(",")[4].startswith("error:") and "float range" in row
+    assert out.read_text().splitlines()[1:] == [
+        f"{p},,,,error:the RK4 step from t=0 produced a non-finite state" for p in ("0.2", "0.4")
+    ]
 
 
 def test_density_rows_match_per_cell_format(tmp_path, monkeypatch):
@@ -495,7 +496,7 @@ def test_simulate_rows_match_per_value_format(tmp_path, monkeypatch):
     rows = lines[1:-1]
     assert len(rows) == traj.t.size
     for i, row in enumerate(rows):
-        values = [traj.t[i], *traj.r[i], *traj.p[i], traj.sigma[i], traj.overlap[i],
+        values = [traj.t[i], *traj.r[i], *traj.p[i], traj.width[i], traj.overlap[i],
                   traj.energy[i, 5], traj.energy[i, 3] + traj.energy[i, 4],
                   tensor.d_xx[i], tensor.d_yy[i], tensor.d_zz[i], tensor.d_xz[i]]
         assert row == ",".join(cli._fmt(float(v)) for v in values)

@@ -108,7 +108,7 @@ def rk4_step_arrays(state, t, dt, deriv):
 
 
 def integrate_arrays(initial, dt, t_max, stop_at_separation=None):
-    """``integrate`` over numpy arrays: (t, r, p, sigma) of every sample."""
+    """``integrate`` over numpy arrays: (t, r, p, width) of every sample."""
     config = initial.config
     width = config.width
     sign, kappa = config.symmetry.sign, config.coupling
@@ -162,7 +162,7 @@ def test_integrate_matches_the_array_rk4_bit_for_bit(symmetry, frozen, stop):
         d0 = float(np.linalg.norm(state.r)) if stop else None
         args = (state, t_free / 200.0, 2.5 * t_free, d0)
         traj = dynamics.integrate(*args)
-        for got, want in zip((traj.t, traj.r, traj.p, traj.sigma), integrate_arrays(*args)):
+        for got, want in zip((traj.t, traj.r, traj.p, traj.width), integrate_arrays(*args)):
             assert np.array_equal(got, want), name
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
         if stop:  # the return ends the run before its 500 steps
@@ -178,7 +178,7 @@ def per_sample_columns(traj):
     for i in range(traj.t.size):
         rho = float(np.dot(traj.r[i], traj.r[i]))
         pp = float(np.dot(traj.p[i], traj.p[i]))
-        s = float(traj.sigma[i])
+        s = float(traj.width[i])
         overlap[i] = pairstate.overlap_from_params(0.25 * rho, pp, s)
         bd = meanfield.EnergyBreakdown(*meanfield._core(rho, pp, s, sign, kappa)[0])
         energy[i] = (bd.kinetic_classical, bd.kinetic_uncertainty, bd.kinetic_exchange,
@@ -212,7 +212,7 @@ def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, fr
     assert len(calls) <= 1
     assert traj.energy is traj.energy and len(calls) <= 1
     assert np.array_equal(traj.overlap, overlap)
-    np.testing.assert_array_equal(traj.sigma, [cfg.width(float(t)) for t in traj.t])
+    np.testing.assert_array_equal(traj.width, [cfg.width(float(t)) for t in traj.t])
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["spreading", "frozen"])
@@ -242,7 +242,7 @@ def six_float_reference(state):
 def assert_axis_run_is_the_six_float_run(axis, six):
     """Bitwise equality of a head-on run and its six-float reference."""
     assert np.signbit(six.p[0, 0])
-    for name in ("t", "r", "p", "sigma", "energy", "overlap"):
+    for name in ("t", "r", "p", "width", "energy", "overlap"):
         assert np.array_equal(getattr(axis, name), getattr(six, name)), name
     # the axis loop's x and y columns are +0.0 throughout
     assert not np.signbit(axis.r[:, :2]).any() and not np.signbit(axis.p[:, :2]).any()
@@ -321,8 +321,8 @@ def test_a_run_continued_from_a_sample_is_the_rest_of_the_run(start):
     traj = dynamics.integrate(start_state(start, p=0.3), 0.05, 20.0)
     k = 150
     rest = dynamics.integrate(traj.state(k), 0.05, 20.0 - traj.t[k])
-    assert rest.sigma[0] > 3.0 * traj.sigma[0]
-    for name in ("t", "r", "p", "sigma", "energy"):
+    assert rest.width[0] > 3.0 * traj.width[0]
+    for name in ("t", "r", "p", "width", "energy"):
         got, want = getattr(rest, name), getattr(traj, name)[k:]
         assert np.array_equal(got, want), name
         assert np.array_equal(np.signbit(got), np.signbit(want)), name
@@ -373,7 +373,7 @@ def separation_path(d):
     r[:, 2] = d
     p = np.zeros((d.size, 3))
     p[0, 2] = -1.0
-    return dynamics.Trajectory(make_config(), 0.1 * np.arange(d.size), r, p, np.ones(d.size), [])
+    return dynamics.Trajectory(make_config(), 0.1 * np.arange(d.size), r, p, [])
 
 
 @pytest.mark.parametrize("stop", [False, True], ids=["full", "stop"])
@@ -394,6 +394,26 @@ def test_traveltime_matches_the_per_sample_loop(symmetry, stop):
                 assert (res.outcome, res.t_return, res.d_min) == want, (p, frozen, horizon)
                 outcomes.add(res.outcome)
     assert outcomes == {Outcome.RETURN, Outcome.NO_RETURN}
+
+
+def test_hand_built_path_reads_one_width_law():
+    # a path built without integrate carries no width of its own: its
+    # overlap and energy rows at t = 10 are both at config.width(10), where
+    # the uncertainty term is 3 / (8 * 26) = 0.0144 (0.375 at width 1)
+    cfg = make_config()
+    r = np.array([[0.0, 0.0, 10.0], [0.0, 0.0, 4.0]])
+    p = np.array([[0.0, 0.0, -0.5], [0.0, 0.0, -0.2]])
+    traj = dynamics.Trajectory(cfg, np.array([0.0, 10.0]), r, p, [])
+    s = cfg.width(10.0)
+    assert s == math.sqrt(26.0)
+    assert np.array_equal(traj.width, [1.0, s])
+    assert traj.overlap[1] == pairstate.overlap_from_params(0.25 * 16.0, 0.2 * 0.2, s)
+    bd = meanfield.avg_hamiltonian(traj.state(1))
+    assert bd.kinetic_uncertainty == 3.0 / (8.0 * s * s)
+    assert 0.0144 < bd.kinetic_uncertainty < 0.0145
+    row = (bd.kinetic_classical, bd.kinetic_uncertainty, bd.kinetic_exchange,
+           bd.coulomb_direct, bd.coulomb_exchange, bd.total)
+    assert np.array_equal(traj.energy[1], row)
 
 
 @pytest.mark.parametrize("d", [
@@ -638,14 +658,17 @@ def test_integrate_step_budget(start):
 
 @pytest.mark.parametrize("start", list(_STARTS))
 def test_integrate_beyond_the_float_range_raises_non_finite(start):
-    message = "^the RK4 step from t=0 left the float range [(]OverflowError[)]$"
-    # within the step budget, but (omega t)^2 overflows on the first step
-    with pytest.raises(NonFinite, match=message):
+    # within the step budget; the width 5e293 at t = dt is finite, but the
+    # kernel's sigma_x^2 overflows and its gradient is nan on the first step
+    with pytest.raises(NonFinite, match="^the RK4 step from t=0 produced a non-finite state$"):
         dynamics.integrate(start_state(start, p=0.5), 1e294, 1e300)
-    # a tiny width spreads so fast that (omega t)^2 overflows on the first step:
-    # by scale covariance this is the t_max = 1e300 run at sigma = 1
-    with pytest.raises(NonFinite, match=message):
-        dynamics.integrate(start_state(start, sigma=1e-150), 0.01, 0.1)
+    # a tiny width spreads at sigma omega = 5e149: (omega t)^2 overflows
+    # from the first step on, the width 5e149 t does not, and up to t = 0.1
+    # the kernel still holds its square, so the run completes
+    traj = dynamics.integrate(start_state(start, sigma=1e-150), 0.01, 0.1)
+    assert traj.t.size == 11 and np.isfinite(traj.r).all() and np.isfinite(traj.p).all()
+    assert traj.width[0] == 1e-150
+    np.testing.assert_allclose(traj.width[1:], 5e149 * traj.t[1:], rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("r0", [5.0, 2e4])

@@ -122,7 +122,7 @@ def test_oblique_runs_match_the_array_rk4_bit_for_bit(sigma, r0, p, fractions, c
     traj, k = counted_run(state, dt, 2.5 * t_free, stop_at)
     with np.errstate(all="ignore"):
         if k is None:
-            for got, want in zip((traj.t, traj.r, traj.p, traj.sigma),
+            for got, want in zip((traj.t, traj.r, traj.p, traj.width),
                                  integrate_arrays(state, dt, 2.5 * t_free, stop_at)):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -132,7 +132,7 @@ def test_oblique_runs_match_the_array_rk4_bit_for_bit(sigma, r0, p, fractions, c
         assert all(np.isfinite(w).all() for w in want)
         if k >= 2:
             prefix = dynamics.integrate(state, dt, k * dt, stop_at)
-            for got, w in zip((prefix.t, prefix.r, prefix.p, prefix.sigma), want):
+            for got, w in zip((prefix.t, prefix.r, prefix.p, prefix.width), want):
                 assert np.array_equal(got, w)
         # and the reference fails in step k too: it raises or ends non-finite
         try:
@@ -190,7 +190,7 @@ def test_integrate_is_scale_covariant_over_drawn_starts(sigma, ratio, p, px, cou
         (scaled.t, base.t * lam * lam),
         (scaled.r, base.r * lam),
         (scaled.p, base.p / lam),
-        (scaled.sigma, base.sigma * lam),
+        (scaled.width, base.width * lam),
         (scaled.energy, base.energy / (lam * lam)),
         (scaled.overlap, base.overlap),
         (tensor_entries(scaled).T, tensor_entries(base).T * lam * lam),

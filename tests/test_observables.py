@@ -206,7 +206,7 @@ def test_array_tensor_matches_per_point(symmetry, frozen, px):
     fields = ("d_xx", "d_yy", "d_zz", "d_xz")
     want = {f: np.empty(traj.t.size) for f in fields}
     for i in range(traj.t.size):
-        point = tensor_per_point(0.5 * traj.r[i], traj.p[i], float(traj.sigma[i]), symmetry.sign)
+        point = tensor_per_point(0.5 * traj.r[i], traj.p[i], float(traj.width[i]), symmetry.sign)
         for f in fields:
             want[f][i] = getattr(point, f)
     norm = np.maximum(series.norm, 1.0)

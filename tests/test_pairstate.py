@@ -3,8 +3,10 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coherentpair import oracle
 from coherentpair.errors import DegenerateState
@@ -218,6 +220,127 @@ def test_frozen_width():
     cfg = PairConfig(0.8, frozen_width=True)
     for t in (0.0, 3.0, -7.5, 100.0, 1e300):
         assert cfg.width(t) == 0.8
+
+
+# sigma_x(t) on either side of |omega t| = 2^27, where PairConfig.width
+# switches from sigma sqrt(1 + (omega t)^2) to (sigma omega) |t|
+SEAM = 2.0 ** 27
+# sigmas whose square is a normal finite float, as PairConfig requires
+sigmas = st.floats(1.5e-154, 1.3e154)
+
+
+def square_root_law(cfg, t):
+    """sigma sqrt(1 + (omega t)^2) as one float expression: the reference below the seam."""
+    return cfg.sigma * math.sqrt(1.0 + (cfg.omega * t) ** 2)
+
+
+def ulps_from_exact(got, cfg, t):
+    """Distance of got from sigma sqrt(1 + (omega t)^2) at 50 digits, in ulps of got."""
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(cfg.sigma) * mpmath.sqrt(1 + (mpmath.mpf(cfg.omega) * t) ** 2)
+        return float(abs(mpmath.mpf(got) - exact)) / math.ulp(got)
+
+
+def seam_time(cfg):
+    """The least t > 0 with omega t >= 2^27."""
+    t = SEAM / cfg.omega
+    while cfg.omega * t >= SEAM:
+        t = math.nextafter(t, 0.0)
+    while cfg.omega * t < SEAM:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def largest_finite_time(cfg):
+    """The largest t whose width is finite, within a few floats of max / (sigma omega)."""
+    t = sys.float_info.max / (cfg.sigma * cfg.omega)
+    for _ in range(4):
+        t = math.nextafter(t, math.inf)
+    for _ in range(16):
+        if math.isfinite(cfg.width(t)):
+            return t
+        t = math.nextafter(t, 0.0)
+    raise AssertionError(f"the width is inf 12 floats below max / (sigma omega), at t = {t!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=sigmas, u=st.floats(-SEAM, SEAM), frozen=st.booleans())
+@example(sigma=1.0, u=math.nextafter(SEAM, 0.0), frozen=False)
+def test_width_below_the_seam_is_the_square_root_law_bit_for_bit(sigma, u, frozen):
+    # u is omega t; every width below the seam keeps the bytes of this expression
+    cfg = PairConfig(sigma, frozen_width=frozen)
+    t = u / PairConfig(sigma).omega
+    assume(math.isfinite(t) and abs(cfg.omega * t) < SEAM)
+    assert cfg.width(t) == square_root_law(cfg, t)
+    assert cfg.width(-t) == cfg.width(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=sigmas, f=st.floats(0.0, 1.0))
+@example(sigma=1e-150, f=1.0)
+@example(sigma=1.0, f=0.0)
+def test_width_beyond_the_seam_is_within_two_ulps_of_the_exact_law(sigma, f):
+    # t log-uniform in f from the seam to the largest t with a finite width.
+    # sigma omega and its product with |t| round once each (up to 1.5 ulps
+    # together) and the dropped 1 is below 2^-55 relative.  Measured worst:
+    # 1.72 ulps over 2e5 draws of sigma within 3 floats above the seam, 1.46
+    # over 1e6 draws of (sigma, t) log-uniform across the range
+    cfg = PairConfig(sigma)
+    top = largest_finite_time(cfg)
+    lo, hi = math.log(SEAM) - math.log(cfg.omega), math.log(top)
+    assume(lo <= hi)
+    t = min(math.exp(lo + f * (hi - lo)), top)
+    assume(cfg.omega * t >= SEAM)
+    w = cfg.width(t)
+    assert math.isfinite(w)
+    assert ulps_from_exact(w, cfg, t) <= 2.0
+    assert cfg.width(-t) == w
+
+
+@pytest.mark.parametrize("sigma", [1e-150, 0.3, 1.0, 7.0, 1e60])
+def test_width_is_finite_up_to_the_largest_finite_sigma_omega_t(sigma):
+    cfg = PairConfig(sigma)
+    t = largest_finite_time(cfg)
+    w = cfg.width(t)
+    assert math.isfinite(w) and ulps_from_exact(w, cfg, t) <= 2.0
+    assert cfg.width(-t) == w
+    # the next float's width overflows; for sigma >= 1, sigma omega <= 1/2
+    # and that next float is inf itself
+    assert cfg.width(math.nextafter(t, math.inf)) == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=sigmas)
+@example(sigma=1.0)
+@example(sigma=0.3)
+def test_width_seam_jump(sigma):
+    # at the first t on the linear branch the two expressions differ by at
+    # most 2 ulps: 2 in 0.17% of 2e5 draws of sigma, and at most 1 where
+    # sigma omega = 1/(2 sigma) rounds exactly (sigma a power of two);
+    # across the seam the width never decreases
+    cfg = PairConfig(sigma)
+    t = seam_time(cfg)
+    w = cfg.width(t)
+    assume(math.isfinite(w))
+    bound = 1.0 if math.frexp(sigma)[0] == 0.5 else 2.0
+    assert abs(w - square_root_law(cfg, t)) <= bound * math.ulp(w)
+    times = [t]
+    for _ in range(4):
+        times = [math.nextafter(times[0], 0.0), *times, math.nextafter(times[-1], math.inf)]
+    widths = [cfg.width(x) for x in times]
+    assert widths == sorted(widths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=sigmas, t=st.floats(allow_nan=False, allow_infinity=False))
+def test_frozen_width_is_sigma_at_every_finite_time(sigma, t):
+    assert PairConfig(sigma, frozen_width=True).width(t) == sigma
+
+
+def test_tiny_sigma_spreads_to_a_finite_width():
+    # omega t = 5e449 is beyond the float range, sigma omega t = 5e299 is not
+    w = PairConfig(1e-150).width(1e150)
+    assert math.isfinite(w) and abs(w / 5e299 - 1.0) < 1e-15
 
 
 def test_amplitude_norm():

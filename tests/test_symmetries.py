@@ -57,7 +57,7 @@ def test_integrate_is_scale_covariant(symmetry, frozen, start, lam):
     assert np.array_equal(scaled.t, base.t * lam * lam)
     assert np.array_equal(scaled.r, base.r * lam)
     assert np.array_equal(scaled.p, base.p / lam)
-    assert np.array_equal(scaled.sigma, base.sigma * lam)
+    assert np.array_equal(scaled.width, base.width * lam)
     assert np.array_equal(scaled.energy, base.energy / (lam * lam))
     assert np.array_equal(scaled.overlap, base.overlap)
     assert np.array_equal(tensor_entries(scaled), tensor_entries(base) * lam * lam)
@@ -119,7 +119,7 @@ def test_mirror_flips_rx_px_and_dxz_only(symmetry, frozen):
     assert np.array_equal(mirror.t, base.t)
     assert np.array_equal(mirror.r, base.r * flip)
     assert np.array_equal(mirror.p, base.p * flip)
-    assert np.array_equal(mirror.sigma, base.sigma)
+    assert np.array_equal(mirror.width, base.width)
     assert np.array_equal(mirror.energy, base.energy)
     assert np.array_equal(mirror.overlap, base.overlap)
     dxz_flip = np.array([[1.0], [1.0], [1.0], [-1.0]])

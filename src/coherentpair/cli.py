@@ -321,6 +321,7 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coherentpair",

@@ -118,6 +118,22 @@ def test_simulate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_parser_is_built_once_and_reused(tmp_path):
+    # a process that calls main repeatedly shares one parser; no call leaves
+    # state in it that changes the next one
+    assert cli.build_parser() is cli.build_parser()
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text('{"overlap": [10000], "coulomb": [], "kinetic": [], "moments": []}')
+    args = ["simulate", "--pz", "-0.3", "--dt", "0.02", "--t-max", "4.0", "--output"]
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert run(args + [str(a)]) == 0
+    assert run(["validate", "--seed-list", str(seeds)]) == 0
+    assert run(args + [str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_negative_exponent_value_is_attached_with_equals(tmp_path):
     # argparse reads a lone "-1e-3" as a flag, so it needs "--pz=-1e-3"
     tail = ["--dt", "0.1", "--t-max", "1"]

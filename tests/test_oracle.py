@@ -92,11 +92,49 @@ def test_coulomb_oracle_point_charge_limit():
     assert direct.rel_err < 1e-6
 
 
-def test_spreading_oracle():
-    for sigma, expect in ((1.0, 0.5), (2.0, 0.125)):
-        rep = oracle.oracle_spreading(sigma)
-        assert abs(rep.analytic - expect) < 1e-15
-        assert rep.rel_err < 1e-4
+def _recording(fn, results):
+    """fn, appending each result to ``results``."""
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+    return wrapper
+
+
+def _spreading_variances(sigma):
+    """The oracle's grid x and its variances at the nine times, each time
+    evolved from t = 0 by its own exp(-i k^2 t / 2) row."""
+    length = 80.0 * sigma
+    dx = length / oracle._SPREAD_GRID
+    x = np.linspace(-0.5 * length, 0.5 * length, oracle._SPREAD_GRID, endpoint=False)
+    psi0 = (2.0 * math.pi * sigma * sigma) ** -0.25 * np.exp(-x * x / (4.0 * sigma * sigma))
+    k = 2.0 * math.pi * np.fft.fftfreq(oracle._SPREAD_GRID, d=dx)
+    psi0_hat = np.fft.fft(psi0)
+    var = []
+    for t in np.linspace(0.0, 4.0 * sigma * sigma, oracle._SPREAD_TIMES):
+        dens = np.abs(np.fft.ifft(psi0_hat * np.exp(-0.5j * k * k * t))) ** 2
+        var.append(np.sum(dens * x * x) / np.sum(dens))
+    return x, np.array(var)
+
+
+# 0.5, 1 and 2 are the sigmas validate runs; 0.7 and 3.1 are no powers of two
+@pytest.mark.parametrize("sigma, expect", [
+    (0.5, 2.0), (0.7, 0.5 / 0.49), (1.0, 0.5), (2.0, 0.125), (3.1, 0.5 / 9.61),
+])
+def test_spreading_oracle(monkeypatch, sigma, expect):
+    # the stepped propagator row against a fresh exp row per time: the nine
+    # variances agree to at most 6.9e-16 relative (sigma = 1) over these sigmas
+    packets = []
+    monkeypatch.setattr(np.fft, "ifft", _recording(np.fft.ifft, packets))
+    rep = oracle.oracle_spreading(sigma)
+    monkeypatch.undo()
+    assert abs(rep.analytic - expect) < 1e-15
+    assert rep.rel_err <= 1e-14
+    assert rep.nodes_used == 36864
+    x, want = _spreading_variances(sigma)
+    assert len(packets) == oracle._SPREAD_TIMES
+    dens = np.abs(np.array(packets)) ** 2
+    got = np.sum(dens * x * x, axis=1) / np.sum(dens, axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_report_small_value_floor():
@@ -293,6 +331,56 @@ def test_element_table_matches_per_element_quadrature(family):
             assert eng.nodes_used - before == 160
             assert eng.elem(*key) == got[-1] and eng.nodes_used - before == 160
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(got)))
+
+
+def _validation_states(tmp_path, monkeypatch):
+    """The state of every engine a validate run over two seeds per family builds."""
+    states = []
+
+    class Recorded(oracle._Engine):
+        def __init__(self, state):
+            super().__init__(state)
+            states.append(state)
+
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps({family: [start, start + step] for family, (start, step, _)
+                                in oracle._DEFAULT_SEEDS.items()}))
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_Engine", Recorded)
+        oracle.run_validation(str(path))
+    return states
+
+
+def test_element_table_bras_are_the_direct_bras(tmp_path, monkeypatch):
+    # the table reads phi_a on the nodes of (a, b) off its ket phi_a on the
+    # nodes of (b, a): both intervals must give the same floats
+    states = _validation_states(tmp_path, monkeypatch)
+    # overlap, coulomb, kinetic (product and symmetrized), moments, the two
+    # packet kinetics and the coincident anchor
+    assert len(states) == 2 * (1 + 1 + 2 + 1) + 2 + 1
+    axis_values = oracle._axis_values
+    rules, kets = [], []
+    monkeypatch.setattr(oracle, "gauss_legendre", _recording(gauss_legendre, rules))
+    monkeypatch.setattr(oracle, "_axis_values", _recording(axis_values, kets))
+    for state in states:
+        rules.clear()
+        kets.clear()
+        eng = oracle._Engine(state)
+        table = eng._elements
+        # one node rule and one Gaussian evaluation per table
+        assert len(rules) == len(kets) == 1
+        (x, w), base = rules[0], kets[0]
+        assert x.shape == base.shape == (2, 2, 3, 160)
+        assert x.tobytes() == x.swapaxes(0, 1).tobytes()
+        direct = np.empty_like(base)
+        for a in range(2):
+            for b in range(2):
+                for ax in range(3):
+                    ca, ka = eng.factor(a + 1, ax)
+                    direct[a, b, ax] = w[a, b, ax] * np.conj(axis_values(eng.s, ca, ka,
+                                                                         x[a, b, ax]))
+        assert direct.tobytes() == (w * np.conj(base.swapaxes(0, 1))).tobytes()
+        assert np.sum(direct * base, axis=-1).tobytes() == table[0, 0].tobytes()
 
 
 def test_drawn_coulomb_channels_stay_in_the_factorisation_domain():

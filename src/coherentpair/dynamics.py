@@ -311,6 +311,8 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
         return 2.0 * d0 * math.sqrt(d0) * numerics.integrate_1d(through, 0.0, 1.0)
     p = 0.5 * v0
     energy = p * p + coupling / d0
+    if not math.isfinite(energy):
+        raise ValueError("E = p^2 + k/d0 overflows")
     # k / E / sqrt(E) and one square root per factor of the asinh argument:
     # neither E^1.5 nor d0 / k can overflow
     arg = p * math.sqrt(d0) / math.sqrt(coupling)

@@ -17,15 +17,15 @@ one real matrix product per rule.  The one-axis matrix elements of
 an engine come from one table, built on its first read.
 Everything is deterministic: fixed node counts, fixed seed lists, no Monte
 Carlo.  An engine reads the ``PhaseState`` the dynamics integrates, and
-one expansion over particle orders (``_Engine._pair_sum``) serves the
-product, symmetric and antisymmetric states.
+one expansion over particle orders (``_Engine.expect``) serves the state's
+symmetric or antisymmetric pair and, at sign 0, its product state.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -189,62 +189,58 @@ class _Engine:
 
     # ----- pair-level sums -------------------------------------------------
 
-    def _pair_sum(self, element):
-        """Sum of element(bra, ket) over the particle orders (a1, a2) of bra and ket.
-
-        Psi = phi_1(x1) phi_2(x2) + sign phi_2(x1) phi_1(x2): the product state
-        has the order (1, 2) only, and a mixed bra/ket pair carries the sign.
-        Direct terms come first, so an element odd under a particle swap sums to 0.
-        """
-        sign = self.sign
-        total = element((1, 2), (1, 2))
-        if sign:
-            total += element((2, 1), (2, 1))
-            total += sign * (element((1, 2), (2, 1)) + element((2, 1), (1, 2)))
-        return total
-
     def _product(self, bra, ket, ops1=None, ops2=None) -> complex:
         """Matrix element of one pair order with insertions on particle 1 and 2."""
         return self.one_body(bra[0], ket[0], ops1 or {}) * self.one_body(bra[1], ket[1], ops2 or {})
 
-    def _norm(self) -> float:
-        return self._pair_sum(self._product).real
+    def expect(self, element, sign: int | None = None):
+        """<O> from element(bra, ket) summed over the particle orders (a1, a2) of bra and ket.
 
-    def expect_one_body_sum(self, ops: dict[int, tuple[int, int]]) -> float:
+        Psi = phi_1(x1) phi_2(x2) + sign phi_2(x1) phi_1(x2) with the state's sign,
+        or order (1, 2) alone at ``sign=0``, the product state; a mixed bra/ket
+        pair carries the sign, and the norm is the same sum of ``_product``.
+        Direct terms come first, so an element odd under a particle swap sums to 0.
+        """
+        if sign is None:
+            sign = self.sign
+
+        def pair_sum(term):
+            total = term((1, 2), (1, 2))
+            if sign:
+                total += term((2, 1), (2, 1))
+                total += sign * (term((1, 2), (2, 1)) + term((2, 1), (1, 2)))
+            return total
+
+        return pair_sum(element) / pair_sum(self._product).real
+
+    def expect_one_body_sum(self, ops: dict[int, tuple[int, int]],
+                            sign: int | None = None) -> float:
         """<sum_i O(i)> for a one-particle operator given by ``ops``."""
-        num = self._pair_sum(
-            lambda bra, ket: self._product(bra, ket, ops) + self._product(bra, ket, None, ops)
-        )
-        return (num / self._norm()).real
+        return self.expect(
+            lambda bra, ket: self._product(bra, ket, ops) + self._product(bra, ket, None, ops), sign
+        ).real
 
-    def expect_p1_dot_p2(self) -> float:
-        """<p_1 . p_2> assembled from single-derivative matrix elements."""
-
-        def element(bra, ket):
-            # (-i)(-i) = -1 per axis
-            return -sum(self._product(bra, ket, {ax: (0, 1)}, {ax: (0, 1)}) for ax in range(3))
-
-        return (self._pair_sum(element) / self._norm()).real
-
-    def expect_p_rel(self) -> np.ndarray:
+    def expect_p_rel(self, sign: int | None = None) -> np.ndarray:
         """<(p_1 - p_2)/2> (vector); vanishes in the symmetrized state."""
-        norm = self._norm()
         out = np.zeros(3)
         for ax in range(3):
             ops = {ax: (0, 1)}
-            num = self._pair_sum(
-                lambda bra, ket: self._product(bra, ket, ops) - self._product(bra, ket, None, ops)
-            )
-            out[ax] = (-0.5j * num / norm).real
+            mean = self.expect(lambda bra, ket: self._product(bra, ket, ops)
+                               - self._product(bra, ket, None, ops), sign)
+            out[ax] = (-0.5j * mean).real
         return out
 
-    def expect_p_rel_squared(self) -> float:
+    def expect_p_rel_squared(self, sign: int | None = None) -> float:
         """<p_rel^2> = (<p_1^2> + <p_2^2> - 2 <p_1 . p_2>) / 4."""
         lap = 0.0
         for ax in range(3):
-            lap += self.expect_one_body_sum({ax: (0, 2)})
-        p1p2 = self.expect_p1_dot_p2()
-        return 0.25 * (-lap - 2.0 * p1p2)
+            lap += self.expect_one_body_sum({ax: (0, 2)}, sign)
+
+        def p1_dot_p2(bra, ket):
+            # single-derivative elements, (-i)(-i) = -1 per axis
+            return -sum(self._product(bra, ket, {ax: (0, 1)}, {ax: (0, 1)}) for ax in range(3))
+
+        return 0.25 * (-lap - 2.0 * self.expect(p1_dot_p2, sign).real)
 
     # ----- Coulomb kernel ---------------------------------------------------
 
@@ -367,14 +363,6 @@ class _Engine:
             self._cache[key] = self.coulomb_combo((bra, ket))
         return self._cache[key]
 
-    def expect_coulomb(self) -> float:
-        """<1/|x1 - x2|> in the pair state."""
-        return self._pair_sum(self._coulomb) / self._norm()
-
-    def coulomb_direct_term(self) -> float:
-        """Bare direct integral <rho_1 rho_2 / |x1 - x2|> (no exchange)."""
-        return self._coulomb((1, 2), (1, 2)) / self._product((1, 2), (1, 2)).real
-
 
 # ---------------------------------------------------------------------------
 # individual oracles
@@ -394,12 +382,13 @@ def oracle_coulomb(state: PhaseState) -> list[OracleReport]:
     kappa = state.config.coupling
     breakdown = avg_hamiltonian(state)
     eng = _Engine(state)
-    direct_num = kappa * eng.coulomb_direct_term()
+    # the bare direct integral <rho_1 rho_2 / |x1 - x2|> is the product state's
+    direct_num = kappa * eng.expect(eng._coulomb, 0)
     reports = [
         OracleReport("coulomb_direct", breakdown.coulomb_direct, direct_num, eng.nodes_used)
     ]
     if state.config.symmetry is not ExchangeSymmetry.DISTINGUISHABLE:
-        total_num = kappa * eng.expect_coulomb()
+        total_num = kappa * eng.expect(eng._coulomb)
         reports.append(
             OracleReport(
                 "coulomb_exchange",
@@ -416,26 +405,26 @@ def oracle_kinetic(state: PhaseState) -> list[OracleReport]:
 
     Mapping: the classical term is |<p_rel>|^2 of the product state, the
     uncertainty term is the product-state variance, and the exchange term
-    is the symmetrized-minus-product difference.
+    is the symmetrized-minus-product difference.  One engine serves both, the
+    product state first: its sums read only the a = b one-axis elements, so
+    its ``nodes_used`` leaves out the mixed ones the pair state reads next.
     """
     breakdown = avg_hamiltonian(state)
-    product = replace(state.config, symmetry=ExchangeSymmetry.DISTINGUISHABLE)
-    eng_prod = _Engine(replace(state, config=product))
-    p_vec = eng_prod.expect_p_rel()
-    t_prod = eng_prod.expect_p_rel_squared()
+    eng = _Engine(state)
+    p_vec = eng.expect_p_rel(0)
+    t_prod = eng.expect_p_rel_squared(0)
     classical_num = float(np.dot(p_vec, p_vec))
     reports = [
         OracleReport("kinetic_classical", breakdown.kinetic_classical, classical_num,
-                     eng_prod.nodes_used),
+                     eng.nodes_used),
         OracleReport("kinetic_uncertainty", breakdown.kinetic_uncertainty,
-                     t_prod - classical_num, eng_prod.nodes_used),
+                     t_prod - classical_num, eng.nodes_used),
     ]
     if state.config.symmetry is not ExchangeSymmetry.DISTINGUISHABLE:
-        eng_sym = _Engine(state)
-        t_sym = eng_sym.expect_p_rel_squared()
+        t_sym = eng.expect_p_rel_squared()
         reports.append(
             OracleReport("kinetic_exchange", breakdown.kinetic_exchange,
-                         t_sym - t_prod, eng_sym.nodes_used)
+                         t_sym - t_prod, eng.nodes_used)
         )
     return reports
 
@@ -610,6 +599,7 @@ _GATES = {
     "pair_norm": 1e-7,
     "packet_kinetic": 1e-8,
     "spreading_rate": 1e-4,
+    "coulomb_coincident_anchor": 1e-6,
 }
 
 # exchange-family terms can be exponentially small; below this absolute
@@ -620,7 +610,7 @@ _ABS_FLOOR = 1e-12
 def report_passes(report: OracleReport) -> bool:
     if abs(report.numeric) < _ABS_FLOOR and abs(report.analytic) < _ABS_FLOOR:
         return True
-    return report.rel_err <= _GATES.get(report.quantity, 1e-6)
+    return report.rel_err <= _GATES[report.quantity]
 
 
 def run_validation(seed_path: str | None = None) -> tuple[list[tuple[OracleReport, bool]], bool]:
@@ -646,6 +636,7 @@ def run_validation(seed_path: str | None = None) -> tuple[list[tuple[OracleRepor
     )
     eng = _Engine(anchor)
     reports.append(OracleReport("coulomb_coincident_anchor", avg_hamiltonian(anchor).coulomb,
-                                eng.expect_coulomb(), eng.nodes_used, note="expected 1/sqrt(pi)"))
+                                eng.expect(eng._coulomb), eng.nodes_used,
+                                note="expected 1/sqrt(pi)"))
     results = [(rep, report_passes(rep)) for rep in reports]
     return results, all(flag for _, flag in results)

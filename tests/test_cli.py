@@ -461,6 +461,17 @@ def test_sweep_point_with_overflowing_width_is_an_error_row(tmp_path):
     ]
 
 
+def test_sweep_point_with_overflowing_classical_energy_is_an_error_row(tmp_path):
+    # from p = 1.34e154 on p^2 overflows; the classical time is an error, not 0
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-traveltime", "--p-min", "1e154", "--p-max", "2e154", "--steps", "2"]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "1e+154,1e-153,1e-153,1e-153,passthrough",
+        "2e+154,,,,error:E = p^2 + k/d0 overflows",
+    ]
+
+
 def test_density_rows_match_per_cell_format(tmp_path, monkeypatch):
     n = 16
     tiny = np.finfo(float).tiny

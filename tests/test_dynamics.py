@@ -542,6 +542,17 @@ def test_classical_traveltime_attractive_at_any_energy():
         dynamics.classical_traveltime(10.0, 1e-300, -1.0)
 
 
+def test_classical_traveltime_overflowing_energy_is_an_error():
+    # below the overflow the pair barely feels the barrier: t is the free time
+    t = dynamics.classical_traveltime(10.0, 2.6e154, 1.0)
+    assert abs(t / dynamics.free_traveltime(10.0, 2.6e154) - 1.0) < 1e-15
+    # an energy p^2 + k/d0 of inf divided both terms of t to 0.0
+    with pytest.raises(ValueError, match="overflows"):
+        dynamics.classical_traveltime(10.0, 2.7e154, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        dynamics.classical_traveltime(1e-10, 1.0, 1e300)
+
+
 def test_classical_traveltime_monotone():
     # strictly decreasing beyond the shallow-entry peak near v0 ~ 0.6
     # (slower pairs turn around right at d0, so t -> 0 as v0 -> 0)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_coulomb_oracle_anchor():
     cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True)
     state = PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg)
     eng = oracle._Engine(state)
-    val = eng.expect_coulomb()
+    val = eng.expect(eng._coulomb)
     assert abs(val - 1.0 / math.sqrt(math.pi)) < 1e-8
 
 
@@ -135,6 +136,17 @@ def test_spreading_oracle(monkeypatch, sigma, expect):
     dens = np.abs(np.array(packets)) ** 2
     got = np.sum(dens * x * x, axis=1) / np.sum(dens, axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_every_reported_quantity_has_its_own_gate(tmp_path):
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps({family: [start] for family, (start, _, _)
+                                in oracle._DEFAULT_SEEDS.items()}))
+    results, _ = oracle.run_validation(str(path))
+    assert {rep.quantity for rep, _ in results} <= set(oracle._GATES)
+    assert oracle._GATES["coulomb_coincident_anchor"] == 1e-6
+    with pytest.raises(KeyError):
+        oracle.report_passes(oracle.OracleReport("no_such_quantity", 1.0, 1.0, 0))
 
 
 def test_report_small_value_floor():
@@ -216,7 +228,7 @@ def test_anchor_coulomb_integrates_two_combos(monkeypatch):
     cfg = PairConfig(1.0, symmetry=ExchangeSymmetry.SYMMETRIC, frozen_width=True)
     state = PhaseState(np.zeros(3), np.zeros(3), 0.0, cfg)
     eng = oracle._Engine(state)
-    eng.expect_coulomb()
+    eng.expect(eng._coulomb)
     assert len(calls) == 2
 
 
@@ -264,7 +276,8 @@ def _count_axis_channels(monkeypatch):
 def test_anchor_coulomb_evaluates_one_axis_channel(monkeypatch):
     # two combos x three axes with equal inputs: one channel
     calls = _count_axis_channels(monkeypatch)
-    oracle._Engine(_anchor_state()).expect_coulomb()
+    eng = oracle._Engine(_anchor_state())
+    eng.expect(eng._coulomb)
     assert len(calls) == 1
 
 
@@ -355,9 +368,9 @@ def test_element_table_bras_are_the_direct_bras(tmp_path, monkeypatch):
     # the table reads phi_a on the nodes of (a, b) off its ket phi_a on the
     # nodes of (b, a): both intervals must give the same floats
     states = _validation_states(tmp_path, monkeypatch)
-    # overlap, coulomb, kinetic (product and symmetrized), moments, the two
-    # packet kinetics and the coincident anchor
-    assert len(states) == 2 * (1 + 1 + 2 + 1) + 2 + 1
+    # overlap, coulomb, kinetic (product and pair state on one engine),
+    # moments, the two packet kinetics and the coincident anchor
+    assert len(states) == 2 * (1 + 1 + 1 + 1) + 2 + 1
     axis_values = oracle._axis_values
     rules, kets = [], []
     monkeypatch.setattr(oracle, "gauss_legendre", _recording(gauss_legendre, rules))
@@ -397,3 +410,50 @@ def test_drawn_coulomb_channels_stay_in_the_factorisation_domain():
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             oracle.oracle_coulomb(state)
     assert worst <= 5.1
+
+
+def _two_engine_reference(state):
+    """The kinetic and direct Coulomb numbers from a separate product engine.
+
+    The product state is the pair on a ``DISTINGUISHABLE`` copy of the
+    config, read by its own engine; the pair state by another.
+    """
+    product = replace(state, config=replace(state.config,
+                                            symmetry=ExchangeSymmetry.DISTINGUISHABLE))
+    eng_prod = oracle._Engine(product)
+    p_vec = eng_prod.expect_p_rel()
+    t_prod = eng_prod.expect_p_rel_squared()
+    classical = float(np.dot(p_vec, p_vec))
+    kinetic = [(classical, eng_prod.nodes_used), (t_prod - classical, eng_prod.nodes_used)]
+    if state.config.symmetry is not ExchangeSymmetry.DISTINGUISHABLE:
+        eng_pair = oracle._Engine(state)
+        kinetic.append((eng_pair.expect_p_rel_squared() - t_prod, eng_pair.nodes_used))
+    coulomb = oracle._Engine(product)
+    return kinetic, state.config.coupling * coulomb.expect(coulomb._coulomb)
+
+
+@pytest.mark.parametrize("symmetry", list(ExchangeSymmetry))
+@pytest.mark.parametrize("family", ["coulomb", "kinetic", "moments"])
+def test_product_state_of_one_engine_is_the_distinguishable_engine(family, symmetry):
+    # validate never draws a DISTINGUISHABLE state, so every draw is recast
+    # to each symmetry; the sign-0 sums must match the separate product
+    # engine bit for bit, nodes included
+    start, step, _ = oracle._DEFAULT_SEEDS[family]
+    for seed in range(start, start + 4 * step, step):
+        drawn = oracle.draw_phase_state(seed)
+        state = replace(drawn, config=replace(drawn.config, symmetry=symmetry))
+        kinetic, direct = _two_engine_reference(state)
+        got = oracle.oracle_kinetic(state)
+        assert [(rep.numeric, rep.nodes_used) for rep in got] == kinetic
+        assert oracle.oracle_coulomb(state)[0].numeric == direct
+
+
+def test_product_sums_read_only_the_diagonal_elements():
+    # the product state's sums stop at the a = b elements; the pair state's
+    # mixed orders then read the a != b ones
+    eng = oracle._Engine(oracle.draw_phase_state(30000))
+    assert eng.sign != 0
+    eng.expect_p_rel_squared(0)
+    assert eng.nodes_used == 2880
+    eng.expect_p_rel_squared()
+    assert eng.nodes_used == 5760

@@ -280,43 +280,50 @@ def free_traveltime(d0: float, v0: float) -> float:
     return 2.0 * d0 / v0
 
 
+def _fall_shape(w: float) -> float:
+    """h(u) = int_0^1 sqrt(s / (1 + u s)) ds at u = w - 1 > -1 (G&R 2.26).
+
+    Both closed forms cancel near u = 0; below |u| = 0.25 the series
+    sum C(-1/2, n) u^n / (n + 3/2) takes over (the tail past n = 29 is
+    < 1e-18).  1 + u is never formed, and atan2 stands in for
+    asin(sqrt(-u)), whose argument nears 1 as u -> -1.
+    """
+    u = w - 1.0
+    if abs(u) < 0.25:  # C(-1/2, n) = C(2n, n) (-1/4)^n
+        return sum(math.comb(2 * n, n) * (-0.25 * u) ** n / (n + 1.5) for n in range(30))
+    r, e = math.sqrt(w), math.sqrt(abs(u))
+    if u > 0.0:
+        return (r - math.asinh(e) / e) / u
+    return (math.atan2(e, r) / e - r) / -u
+
+
 def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
     """Return time of the classical Coulomb collision (reduced mass m/2).
 
-    t = 2 int dd / sqrt((2/mu)(E - k/d)) over the inbound leg, with
-    E = mu v0^2 / 2 + k/d0 = p^2 + k/d0 at p = v0 / 2.  A repulsive pair
-    (k > 0, so E > 0) turns at d_min = k/E, and the integral has the closed
-    form t = d0 p / E + k E^-3/2 asinh(p sqrt(d0 / k)): two positive terms,
-    so nothing cancels as p -> 0, where d_min -> d0.
-    An attractive pair (k < 0) falls through d = 0 at any E, so its leg runs
-    from 0 to d0; d = d0 s^2 turns the integrand into
-    2 d0^3/2 s^2 sqrt(mu / (2 Q)) on [0, 1], with Q = E d0 s^2 - k =
-    a s^2 - k (1 - s^2) and a = mu v0^2 d0 / 2.  Q is a sum of two
-    non-negative terms that never vanish together, so the integrand is smooth.
+    t = 2 int dd / sqrt((2/mu)(E - k/d)) = int sqrt(d) dd / sqrt(E d - k) over
+    the inbound leg, with E = mu v0^2 / 2 + k/d0 = p^2 + k/d0 at p = v0 / 2.
+    With x = p sqrt(d0 / |k|), a repulsive pair (k > 0, so E > 0) turns at
+    d_min = k/E, and t = d0 p / E + k E^-3/2 asinh(x): two positive terms,
+    so nothing cancels as p -> 0, where d_min -> d0.  An attractive pair
+    (k < 0) falls through d = 0 at any E, so its leg runs from 0 to d0, and
+    d = d0 s gives t = d0^3/2 |k|^-1/2 h(x^2 - 1) (``_fall_shape``), which is
+    d0 / p to 2.3e-19 past x = 1e10.
     """
     if d0 <= 0 or v0 <= 0:
         raise ValueError("d0 and v0 must be positive")
     if coupling == 0.0:
         return free_traveltime(d0, v0)
-    if coupling < 0.0:
-        mu = 0.5
-        a = 0.5 * mu * v0 * v0 * d0
-        if not a > 0.0:
-            raise ValueError("mu v0^2 d0 / 2 underflows to 0")
-
-        def through(s: float) -> float:
-            q = a * s * s - coupling * (1.0 - s * s)
-            return 2.0 * s * s * math.sqrt(mu / (2.0 * q))
-
-        return 2.0 * d0 * math.sqrt(d0) * numerics.integrate_1d(through, 0.0, 1.0)
     p = 0.5 * v0
     energy = p * p + coupling / d0
     if not math.isfinite(energy):
         raise ValueError("E = p^2 + k/d0 overflows")
-    # k / E / sqrt(E) and one square root per factor of the asinh argument:
-    # neither E^1.5 nor d0 / k can overflow
-    arg = p * math.sqrt(d0) / math.sqrt(coupling)
-    return d0 * p / energy + coupling / energy / math.sqrt(energy) * math.asinh(arg)
+    # one square root per factor: neither d0 / |k|, E^1.5 nor d0^1.5 can overflow
+    x = p * math.sqrt(d0) / math.sqrt(abs(coupling))
+    if coupling > 0.0:
+        return d0 * p / energy + coupling / energy / math.sqrt(energy) * math.asinh(x)
+    if x > 1e10:
+        return d0 / p
+    return d0 * (math.sqrt(d0) / math.sqrt(-coupling) * _fall_shape(x * x))
 
 
 def classify(traj: Trajectory, result: TraveltimeResult) -> Regime:

@@ -36,14 +36,6 @@ class QuadrupoleTensor:
     d_zz: float
     d_xz: float
 
-    @property
-    def trace(self) -> float:
-        return self.d_xx + self.d_yy + self.d_zz
-
-    @property
-    def norm(self) -> float:
-        return np.sqrt(self.d_xx ** 2 + self.d_yy ** 2 + self.d_zz ** 2 + 2.0 * self.d_xz ** 2)
-
 
 def tensor_from_params(c, p, s, sign: int) -> QuadrupoleTensor:
     """Closed-form tensor for packets at +/- c with momenta +/- p, width s.

@@ -16,7 +16,7 @@ from coherentpair.observables import SeriesKind, detect, tensor_from_params
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 
 from test_meanfield import coulomb_bound
-from test_observables import invert_p, invert_r0
+from test_observables import invert_p, invert_r0, tensor_norm, tensor_trace
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -85,7 +85,7 @@ def test_criterion_03_quadrupole_oracle():
     for seed in seeds:
         state = oracle.draw_phase_state(seed)
         tensor = observables.quadrupole_tensor(state)
-        if abs(tensor.trace) > 1e-10 * tensor.norm:
+        if abs(tensor_trace(tensor)) > 1e-10 * tensor_norm(tensor):
             ok = False
         for rep in oracle.oracle_moments(state):
             if abs(rep.numeric) < 1e-12 and abs(rep.analytic) < 1e-12:

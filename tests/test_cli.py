@@ -203,6 +203,21 @@ def test_sweep_attractive_zero_energy_keeps_every_column(tmp_path, capsys):
     assert float(t_coh) > 0
 
 
+def test_sweep_attractive_slow_points_read_the_fall_from_rest(tmp_path):
+    # p -> 0 at k = -1, d0 = 10: (pi/2) d0^3/2 = 49.6729413290; the adaptive
+    # quadrature read 185086.843711 and 49.8579776144 here
+    out = tmp_path / "slow.csv"
+    code = run([
+        "sweep-traveltime", "--coupling", "-1", "--r0", "5", "--p-min", "1e-20",
+        "--p-max", "1e-14", "--steps", "2", "--dt", "0.01", "--t-max", "200",
+        "--frozen-width", "--spin", "distinguishable", "--output", str(out),
+    ])
+    assert code == 0
+    assert [line.split(",")[2] for line in out.read_text().splitlines()[1:]] == [
+        "49.672941329", "49.672941329",
+    ]
+
+
 @pytest.mark.parametrize("r0", ["0", "-5", "-0.0"])
 def test_sweep_rejects_a_non_positive_offset(tmp_path, capsys, monkeypatch, r0):
     # d0 = 2 r0 <= 0 fits no point; the sweep must not start

@@ -527,6 +527,64 @@ def test_classical_traveltime_attractive_against_quad(coupling):
             assert abs(got / want - 1.0) <= 1e-9, (p, d0)
 
 
+def attractive_return_time_mp(d0, p, coupling):
+    """int_0^d0 sqrt(d) dd / sqrt(E d - k) at k < 0 by mpmath at 50 digits.
+
+    d = d0 sin^2(th) gives 2 d0^3/2 |k|^-1/2 int_0^pi/2 sin^2 cos dth / q with
+    q = sqrt(x^2 sin^2 + cos^2) and x^2 = p^2 d0 / |k|: smooth, with no end
+    point singularity at E d0 = k.  For x > 1 the bend at th ~ 1/x gets cuts
+    every eight decades, and each piece is mapped onto [0, 1] and divided by
+    its midpoint value, since mpmath misjudges convergence on integrands far
+    from unit size.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        d0, p, k = mp.mpf(d0), mp.mpf(p), -mp.mpf(coupling)
+        xx = p * p * d0 / k
+
+        def f(th):
+            s, c = mp.sin(th), mp.cos(th)
+            return s * s * c / mp.sqrt(xx * s * s + c * c)
+
+        cuts = [mp.pi / 2]
+        while xx * cuts[-1] ** 2 > 1:
+            cuts.append(cuts[-1] / mp.mpf(1e8))
+        cuts.append(mp.mpf(0))
+        total = 0
+        for a, b in zip(cuts[1:], cuts):
+            mid = f((a + b) / 2)
+            total += (b - a) * mid * mp.quad(lambda y: f(a + (b - a) * y) / mid, [0, 1])
+        return 2 * d0 * mp.sqrt(d0) / mp.sqrt(k) * total
+
+
+@pytest.mark.parametrize("coupling", [-1e-300, -1e-100, -1e-10, -1.0, -1e10, -1e100, -1e300])
+def test_classical_traveltime_attractive_against_mpmath(coupling):
+    # the adaptive Simpson quadrature read 49.858 for 49.673 at d0 = 10,
+    # k = -1, p = 1e-14, and 5.5e-10 for 4.97e-149 at k = -1e300, p = 1e-5
+    mp = pytest.importorskip("mpmath")
+    for p in (1e-300, 1e-150, 1e-60, 1e-20, 1e-9, 1e-5, 0.01, 0.3, 1.0, 7.0, 1e3):
+        got = dynamics.classical_traveltime(10.0, 2.0 * p, coupling)
+        want = attractive_return_time_mp(10.0, p, coupling)
+        assert abs(mp.mpf(got) / want - 1) <= 1e-14, p
+
+
+@pytest.mark.parametrize("w", [0.75, 0.95, 1.05, 1.25])
+def test_classical_traveltime_attractive_across_the_series_switch(w):
+    # at d0 = 1, k = -1 the float u = p * p - 1: the series runs for
+    # |u| < 0.25, and |u| = 0.05 is where the closed forms lost 3.9e-14
+    mp = pytest.importorskip("mpmath")
+    p = math.sqrt(w)
+    ps = [p]
+    for _ in range(4):
+        ps = [math.nextafter(ps[0], 0.0)] + ps + [math.nextafter(ps[-1], 2.0)]
+    squares = [q * q for q in ps]
+    assert min(squares) < w < max(squares)
+    for q in ps:
+        got = dynamics.classical_traveltime(1.0, 2.0 * q, -1.0)
+        want = attractive_return_time_mp(1.0, q, -1.0)
+        assert abs(mp.mpf(got) / want - 1) <= 1e-14, q
+
+
 def test_classical_traveltime_attractive_at_any_energy():
     # E = 0 at d0 = 10, v0 = 1, k = -2.5: the fall from rest, (2/3) d0^3/2 / sqrt(|k|)
     assert abs(dynamics.classical_traveltime(10.0, 1.0, -2.5) / (40.0 / 3.0) - 1.0) < 1e-12
@@ -537,9 +595,11 @@ def test_classical_traveltime_attractive_at_any_energy():
     # the kink the old form put inside the interval: 5.3 % off here, 0 at d0 = 20
     assert abs(dynamics.classical_traveltime(10.0, 0.4, -0.3) - 35.2081566998) < 1e-9
     assert abs(dynamics.classical_traveltime(20.0, 0.1, -0.05) - 800.0 / 3.0) < 1e-9
-    # a kinetic term mu v0^2 d0 / 2 that underflows to 0 would divide by 0 at d = d0
-    with pytest.raises(ValueError, match="underflows"):
-        dynamics.classical_traveltime(10.0, 1e-300, -1.0)
+    # p -> 0 is the fall from rest at E = k/d0: (pi/2) d0^3/2 / sqrt(|k|); the
+    # quadrature raised "underflows" here and read 185086.8 at p = 1e-20
+    for v0 in (1e-300, 2e-20):
+        assert dynamics.classical_traveltime(10.0, v0, -1.0) == pytest.approx(
+            49.6729413289805, rel=1e-15)
 
 
 def test_classical_traveltime_overflowing_energy_is_an_error():
@@ -551,6 +611,11 @@ def test_classical_traveltime_overflowing_energy_is_an_error():
         dynamics.classical_traveltime(10.0, 2.7e154, 1.0)
     with pytest.raises(ValueError, match="overflows"):
         dynamics.classical_traveltime(1e-10, 1.0, 1e300)
+    # the attractive branch checks the same E
+    with pytest.raises(ValueError, match="overflows"):
+        dynamics.classical_traveltime(10.0, 2.7e154, -1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        dynamics.classical_traveltime(1e-10, 1.0, -1e300)
 
 
 def test_classical_traveltime_monotone():

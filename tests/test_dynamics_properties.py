@@ -11,6 +11,9 @@ fails.
 Scale covariance (see ``test_symmetries``) holds over drawn starts to
 round-off for any lam; the bitwise cases at lam = 2 and 1/2 stay fixed
 there, since a drawn subnormal term loses bits when scaled.
+
+The attractive classical traveltime is drawn over every decade of d0, p
+and |k|: it is never nan and stays between the limits of its closed form.
 """
 
 import math
@@ -197,3 +200,38 @@ def test_integrate_is_scale_covariant_over_drawn_starts(sigma, ratio, p, px, cou
     ):
         # relative to each column's largest magnitude; an all-zero column stays zero
         assert np.all(np.abs(got - want) <= bound * np.abs(want).max(axis=0))
+
+
+# positive floats of every decade, subnormals included
+magnitudes = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99),
+                       st.integers(-320, 308)).filter(lambda v: 0.0 < v < math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d0=magnitudes, p=magnitudes, k=magnitudes)
+def test_attractive_classical_traveltime_is_a_number_for_every_finite_energy(d0, p, k):
+    """Coupling -k: no nan and no error while E is finite, and t within its limits.
+
+    With x = p sqrt(d0 / k), t = (d0 / p) g(x), where 2/3 min(1, x) <= g(x)
+    <= min(1, (pi/2) x).  So log t lies in [log(2/3) + min(A, B),
+    min(A, log(pi/2) + B)] with A = log(d0 / p) and B = log(d0^3/2 / sqrt(k)).
+    An inf or subnormal t must be one that those bounds allow.
+    """
+    v0 = 2.0 * p
+    assume(math.isfinite(v0))
+    p = 0.5 * v0
+    if not math.isfinite(p * p - k / d0):
+        with pytest.raises(ValueError, match="overflows"):
+            dynamics.classical_traveltime(d0, v0, -k)
+        return
+    t = dynamics.classical_traveltime(d0, v0, -k)
+    a = math.log(d0) - math.log(p)
+    b = 1.5 * math.log(d0) - 0.5 * math.log(k)
+    lo = math.log(2.0 / 3.0) + min(a, b)
+    hi = min(a, math.log(math.pi / 2.0) + b)
+    if t == math.inf:
+        assert hi >= math.log(sys.float_info.max) - 1e-9
+    elif t < sys.float_info.min:
+        assert lo <= math.log(sys.float_info.min) + 1e-9
+    else:
+        assert lo - 1e-12 <= math.log(t) <= hi + 1e-12

@@ -154,7 +154,7 @@ def integrate(
         raise ValueError(f"t_max / dt = {t_max / dt:.3g} exceeds the budget of {MAX_STEPS} steps")
     config = initial.config
     width = config.width
-    sign = config.symmetry.sign
+    sign = float(config.symmetry.sign)
     kappa = config.coupling
     n_steps = int(round(t_max / dt))
     h = 0.5 * dt
@@ -174,58 +174,62 @@ def integrate(
         gp = 2.0 * de_dpp
         return gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz
 
-    def full_step(y, t):
-        """Stage-1 energy terms and the state one step after (y, t)."""
+    def full_step(y, t, s=None):
+        """Stage-1 energy terms, the state one step after (y, t) and None."""
         stage_terms.clear()
         # read from the module, where the benchmark tracer counts its calls
         y = numerics.rk4_step(y, t, dt, deriv)
-        return stage_terms[0], y
+        return stage_terms[0], y, None
 
-    def axis_step(y, t):
-        """``full_step`` of a state whose x and y entries are +0.0.
+    def axis_step(y, t, s):
+        """``full_step`` of a state whose x and y entries are +0.0, at width s = width(t).
 
         The stages are those of ``deriv`` without the +0.0 terms (0 + 0 +
-        rz * rz is rz * rz), with ``_core`` read from the module as there.
-        A step that fails here is redone by ``full_step``.
+        rz * rz is rz * rz), with ``_core`` read from the module as there;
+        the later three skip the energy terms.  Its third item is width(t + dt),
+        the next step's s, as the loop's next t is t + dt.  A step that fails
+        here is redone by ``full_step``.
         """
         rz, pz = y[2], y[5]
+        s_half = width(t + h)
+        s_end = width(t + dt)
         try:
-            terms, de_drho, de_dpp = _core(rz * rz, pz * pz, width(t), sign, kappa)
+            terms, de_drho, de_dpp = _core(rz * rz, pz * pz, s, sign, kappa)
             a3 = 2.0 * de_dpp * pz
             a6 = -(2.0 * de_drho) * rz
-            s_half = width(t + h)
             z, q = rz + h * a3, pz + h * a6
-            _, de_drho, de_dpp = _core(z * z, q * q, s_half, sign, kappa)
+            _, de_drho, de_dpp = _core(z * z, q * q, s_half, sign, kappa, False)
             b3 = 2.0 * de_dpp * q
             b6 = -(2.0 * de_drho) * z
             z, q = rz + h * b3, pz + h * b6
-            _, de_drho, de_dpp = _core(z * z, q * q, s_half, sign, kappa)
+            _, de_drho, de_dpp = _core(z * z, q * q, s_half, sign, kappa, False)
             c3 = 2.0 * de_dpp * q
             c6 = -(2.0 * de_drho) * z
             z, q = rz + dt * c3, pz + dt * c6
-            _, de_drho, de_dpp = _core(z * z, q * q, width(t + dt), sign, kappa)
+            _, de_drho, de_dpp = _core(z * z, q * q, s_end, sign, kappa, False)
             d3 = 2.0 * de_dpp * q
             d6 = -(2.0 * de_drho) * z
         except (ArithmeticError, CoherentPairError):
-            return full_step(y, t)
+            return full_step(y, t)[:2] + (s_end,)
         rz += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
         pz += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
         if not (math.isfinite(rz) and math.isfinite(pz)):
-            return full_step(y, t)
-        return terms, (0.0, 0.0, rz, 0.0, 0.0, pz)
+            return full_step(y, t)[:2] + (s_end,)
+        return terms, (0.0, 0.0, rz, 0.0, 0.0, pz), s_end
 
     y = tuple(initial.r.tolist() + initial.p.tolist())
     # +0.0 only: copysign tells -0.0 apart, == does not
     head_on = all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in (y[0], y[1], y[3], y[4]))
     step = axis_step if head_on else full_step
     t = float(initial.t)
+    s = width(t)
     ts = [t]
     ys = [y]
     stage1 = []
     dipped = False
     try:
         for _ in range(n_steps):
-            terms, y = step(y, t)
+            terms, y, s = step(y, t, s)
             stage1.append(terms)
             t = t + dt
             ts.append(t)
@@ -258,7 +262,9 @@ def traveltime(traj: Trajectory) -> TraveltimeResult:
     d_init = float(d[0])
     if d_init <= 0.0:
         raise MalformedTrajectory("initial separation must be positive")
-    if float(np.dot(traj.r[0], traj.p[0])) >= 0.0:
+    # in Python floats, where a product past the float range is inf without a warning
+    (rx, ry, rz), (px, py, pz) = traj.r[0].tolist(), traj.p[0].tolist()
+    if rx * px + ry * py + rz * pz >= 0.0:
         raise MalformedTrajectory("initial motion is not inward")
     below = np.flatnonzero(d < d_init)
     if below.size:
@@ -320,7 +326,14 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
     # one square root per factor: neither d0 / |k|, E^1.5 nor d0^1.5 can overflow
     x = p * math.sqrt(d0) / math.sqrt(abs(coupling))
     if coupling > 0.0:
-        return d0 * p / energy + coupling / energy / math.sqrt(energy) * math.asinh(x)
+        if energy == 0.0:
+            raise ValueError("E = p^2 + k/d0 underflows")
+        # past the float range d0 p / E is d0 / E * p, and where x overflows the
+        # asinh term is below asinh(x) / x^2 < 1e-600 of it
+        flight = d0 * p / energy if d0 * p < math.inf else d0 / energy * p
+        if x == math.inf:
+            return flight
+        return flight + coupling / energy / math.sqrt(energy) * math.asinh(x)
     if x > 1e10:
         return d0 / p
     return d0 * (math.sqrt(d0) / math.sqrt(-coupling) * _fall_shape(x * x))

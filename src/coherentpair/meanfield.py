@@ -27,6 +27,7 @@ from .errors import DegenerateState
 from .pairstate import _DEGENERATE_EPS, PairConfig, _vec3, overlap_from_params  # noqa: F401
 
 _SQRT_PI = math.sqrt(math.pi)
+_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,68 +85,80 @@ class EnergyBreakdown:
         return self.coulomb_direct + self.coulomb_exchange
 
 
-def _erf_over_d(rho: float, s: float) -> tuple[float, float]:
-    """q(rho) = erf(d / 2s) / d as a smooth function of rho = d^2, and dq/drho.
+def _core(rho: float, pp: float, s: float, sign: float, kappa: float, terms: bool = True):
+    """Energy terms and d/drho, d/dpp of the total at fixed width.
 
-    One ``erf`` call serves both; series branches cover small separations.
+    rho = |r|^2, pp = |p|^2, sign -1, 0 or +1 (as a float it spares every
+    product a conversion).  Returns (breakdown tuple, dE_drho, dE_dpp); with
+    ``terms`` false an exchange pair's breakdown is None.
     """
-    z2 = rho / (4.0 * s * s)
+    s2 = s * s
+    s4 = 4.0 * s2
+    z2 = rho / s4
     if z2 == math.inf:
-        # erf(d / 2s) is 1 long before z2 overflows: the point-charge limit 1/d
+        # erf(d / 2s) is 1 long before z2 overflows: the point charge 1/d, and e_r = 0
         q = 1.0 / math.sqrt(rho)
-        return q, -q / (2.0 * rho)
+        return (pp, 3.0 / (8.0 * s2), 0.0, kappa * q, 0.0), kappa * (-q / (2.0 * rho)), 1.0
+    # q = erf(d / 2s) / d as a smooth function of rho = d^2, and dq/drho, from
+    # one erf call; series branches cover small separations
+    e_r = math.exp(-z2)
+    sps = _SQRT_PI * s
     if z2 < 1e-6:
-        q = (1.0 - z2 / 3.0 + z2 * z2 / 10.0) / (_SQRT_PI * s)
+        q = (1.0 - z2 / 3.0 + z2 * z2 / 10.0) / sps
     else:
         z = math.sqrt(z2)
         e = numerics.erf(z)
         d = 2.0 * s * z  # the separation: 2 d^3 stays finite where s^3 z^3 overflows
         q = e / d
     if z2 < 1e-4:
-        dq = (-1.0 / 3.0 + z2 / 5.0 - z2 * z2 / 14.0) / (_SQRT_PI * s) / (4.0 * s * s)
+        dq = (-1.0 / 3.0 + z2 / 5.0 - z2 * z2 / 14.0) / sps / s4
     else:
-        dq = ((2.0 / _SQRT_PI) * z * math.exp(-z2) - e) / (2.0 * d * d * d)
-    return q, dq
-
-
-def _core(rho: float, pp: float, s: float, sign: int, kappa: float):
-    """Energy terms and d/drho, d/dpp of the total at fixed width.
-
-    rho = |r|^2, pp = |p|^2.  Returns (breakdown tuple, dE_drho, dE_dpp).
-    """
-    s2 = s * s
-    uncert = 3.0 / (8.0 * s2)
-    q, dq = _erf_over_d(rho, s)
+        dq = (_TWO_OVER_SQRT_PI * z * e_r - e) / (2.0 * d * d * d)
     d_term = kappa * q
     d_term_drho = kappa * dq
-
-    e_r = math.exp(-rho / (4.0 * s2)) if sign else 0.0
-    if e_r == 0.0:
+    if not sign or e_r == 0.0:
         # every exchange term carries e_r, so all vanish (distinguishable packets
         # have none); b below need not be finite
-        return (pp, uncert, 0.0, d_term, 0.0), d_term_drho, 1.0
-    g = math.exp(-rho / (4.0 * s2) - 4.0 * s2 * pp)
-    den = 1.0 + sign * g
+        return (pp, 3.0 / (8.0 * s2), 0.0, d_term, 0.0), d_term_drho, 1.0
+    g = math.exp(-z2 - s4 * pp)
+    sg = sign * g
+    den = 1.0 + sg
     if den <= _DEGENERATE_EPS:
         raise DegenerateState("averaged Hamiltonian undefined at N -> 1")
 
-    x_arg = 2.0 * s * math.sqrt(pp)
-    fr, fr_dx2 = numerics.dawson_ratio(x_arg)
-    x_pref = kappa * e_r / (_SQRT_PI * s)
+    # F(x)/x and its derivative in x^2 at x = 2 s |p| from one dawson call,
+    # series filling in the removable singularity at x = 0.  From x = 100 on
+    # the derivative is the asymptotic series -1/(2y^2) - 1/(2y^3) - 9/(8y^4)
+    # - 15/(4y^5) in y = x^2, whose first dropped term is below 4e-15 relative:
+    # the direct formula cancels there (1e-12 relative at x = 100, 0.5 at 1e8).
+    x = 2.0 * s * math.sqrt(pp)
+    if x < 1e-3:
+        x2 = x * x
+        fr = 1.0 - 2.0 * x2 / 3.0 + 4.0 * x2 * x2 / 15.0 if x < 1e-4 else numerics.dawson(x) / x
+        fr_dx2 = -2.0 / 3.0 + 8.0 * x2 / 15.0 - 8.0 * x2 * x2 / 35.0
+    else:
+        f = numerics.dawson(x)
+        fr = f / x
+        if x < 100.0:
+            fr_dx2 = (x - 2.0 * x * x * f - f) / (2.0 * x ** 3)
+        else:
+            v = 1.0 / (x * x)
+            fr_dx2 = -v * v * (0.5 + v * (0.5 + v * (1.125 + 3.75 * v)))
+    x_pref = kappa * e_r / sps
     x_term = x_pref * fr
 
-    b = rho / (16.0 * s2 * s2)
-    kin_ex = -sign * g * (pp + b) / den
-    cou_ex = sign * (x_term - g * d_term) / den
-    parts = (pp, uncert, kin_ex, d_term, cou_ex)
+    s16 = 16.0 * s2 * s2
+    b = rho / s16
+    parts = (pp, 3.0 / (8.0 * s2), -sg * (pp + b) / den, d_term,
+             sign * (x_term - g * d_term) / den) if terms else None
 
-    dg_drho = -g / (4.0 * s2)
-    dg_dpp = -4.0 * s2 * g
-    db_drho = 1.0 / (16.0 * s2 * s2)
-    dx_drho = -x_term / (4.0 * s2)
-    dx_dpp = x_pref * fr_dx2 * 4.0 * s2
+    dg_drho = -g / s4
+    dg_dpp = -s4 * g
+    db_drho = 1.0 / s16
+    dx_drho = -x_term / s4
+    dx_dpp = x_pref * fr_dx2 * 4.0 * s2  # (a * 4) * s2, not a * s4: bits past overflow
 
-    num = pp - sign * g * b + d_term + sign * x_term
+    num = pp - sg * b + d_term + sign * x_term
     dnum_drho = -sign * (dg_drho * b + g * db_drho) + d_term_drho + sign * dx_drho
     dnum_dpp = 1.0 - sign * dg_dpp * b + sign * dx_dpp
 

@@ -93,32 +93,6 @@ def dawson(x: float) -> float:
     return -val if x < 0 else val
 
 
-def dawson_ratio(x: float) -> tuple[float, float]:
-    """F(x)/x and its derivative with respect to x^2, from one ``dawson`` call.
-
-    Series fill in the removable singularity at x = 0 (values 1 and -2/3).
-    From |x| = 100 on, the derivative is the asymptotic series in y = x^2,
-    -1/(2y^2) - 1/(2y^3) - 9/(8y^4) - 15/(4y^5), whose first dropped term is
-    below 4e-15 relative there: the direct formula cancels at large x (1e-12
-    relative at x = 100, 0.5 at 1e8) and overflows beyond about 1e103.
-    """
-    ax = abs(x)
-    x2 = x * x
-    if ax < 1e-4:
-        ratio = 1.0 - 2.0 * x2 / 3.0 + 4.0 * x2 * x2 / 15.0
-    else:
-        f = dawson(ax)
-        ratio = f / ax
-    if ax < 1e-3:
-        ddx2 = -2.0 / 3.0 + 8.0 * x2 / 15.0 - 8.0 * x2 * x2 / 35.0
-    elif ax < 100.0:
-        ddx2 = (ax - 2.0 * ax * ax * f - f) / (2.0 * ax ** 3)
-    else:
-        v = 1.0 / x2
-        ddx2 = -v * v * (0.5 + v * (0.5 + v * (1.125 + 3.75 * v)))
-    return ratio, ddx2
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------

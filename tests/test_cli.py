@@ -487,6 +487,32 @@ def test_sweep_point_with_overflowing_classical_energy_is_an_error_row(tmp_path)
     ]
 
 
+def test_sweep_point_with_underflowing_classical_energy_is_an_error_row(tmp_path):
+    # p^2 = 1e-400 and k/d0 = 1e-400 both underflow: E = 0 divided by zero,
+    # which stopped the whole sweep with exit 3
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-traveltime", "--coupling", "1e-300", "--r0", "5e99", "--p-min", "1e-200",
+            "--p-max", "1e-200", "--steps", "1", "--dt", "1", "--t-max", "2"]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["1e-200,,,,error:E = p^2 + k/d0 underflows"]
+
+
+def test_sweep_point_past_the_float_range_is_finite_and_quiet(tmp_path):
+    # d0 = 1e300, p = 1e150, k = 1e-300: t_classical read nan (k E^-3/2 is 0
+    # and asinh(x) is inf), and the inward check's r . p overflowed in numpy
+    # with a RuntimeWarning, which a fresh interpreter here turns into an error
+    out = tmp_path / "sweep.csv"
+    src = str(Path(coherentpair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    argv = ["sweep-traveltime", "--coupling", "1e-300", "--r0", "5e299", "--p-min", "1e150",
+            "--p-max", "1e150", "--steps", "1", "--dt", "1", "--t-max", "2", "--output", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "coherentpair.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_text().splitlines()[1:] == ["1e+150,,1e+150,1e+150,noreturn"]
+
+
 def test_density_rows_match_per_cell_format(tmp_path, monkeypatch):
     n = 16
     tiny = np.finfo(float).tiny

@@ -618,6 +618,26 @@ def test_classical_traveltime_overflowing_energy_is_an_error():
         dynamics.classical_traveltime(1e-10, 1.0, -1e300)
 
 
+@pytest.mark.parametrize("d0, p, coupling", [
+    (1e300, 1e150, 1e-300),  # k E^-3/2 underflows to 0 where asinh(x) overflows: 0 * inf
+    (1e300, 1e150, 1.0),  # asinh(x) overflows alone
+    (3.5e278, 4.3e113, 5e3),  # d0 p overflows: inf / E
+])
+def test_classical_traveltime_repulsive_past_the_float_range(d0, p, coupling):
+    # both terms were nan or inf; the time is the free d0 / p to 1e-16 here
+    got = dynamics.classical_traveltime(d0, 2.0 * p, coupling)
+    assert abs(got / repulsive_return_time_mp(d0, p, coupling) - 1.0) <= 1e-15
+    assert abs(got / (d0 / p) - 1.0) <= 1e-15
+
+
+def test_classical_traveltime_underflowing_energy_is_an_error():
+    # p^2 = 1e-400 and k/d0 = 1e-400 both underflow, and E = 0 divided by zero
+    with pytest.raises(ValueError, match="E = p\\^2 \\+ k/d0 underflows"):
+        dynamics.classical_traveltime(1e100, 2e-200, 1e-300)
+    # the attractive branch divides by no E: E = 0 there is the fall from rest
+    assert dynamics.classical_traveltime(1e100, 2e-200, -1e-300) > 0.0
+
+
 def test_classical_traveltime_monotone():
     # strictly decreasing beyond the shallow-entry peak near v0 ~ 0.6
     # (slower pairs turn around right at d0, so t -> 0 as v0 -> 0)

@@ -235,3 +235,23 @@ def test_attractive_classical_traveltime_is_a_number_for_every_finite_energy(d0,
         assert lo <= math.log(sys.float_info.min) + 1e-9
     else:
         assert lo - 1e-12 <= math.log(t) <= hi + 1e-12
+
+
+@settings(max_examples=500, deadline=None)
+@given(d0=magnitudes, p=magnitudes, k=magnitudes)
+def test_repulsive_classical_traveltime_is_a_number_for_every_finite_energy(d0, p, k):
+    """Coupling +k: an error where E = p^2 + k/d0 leaves the float range, else no nan.
+
+    t = d0 p / E + k E^-3/2 asinh(x) is a sum of two non-negative terms, the
+    first of which is at most d0 / p.
+    """
+    v0 = 2.0 * p
+    assume(math.isfinite(v0))
+    p = 0.5 * v0
+    energy = p * p + k / d0
+    if not 0.0 < energy < math.inf:
+        with pytest.raises(ValueError, match="underflows" if energy == 0.0 else "overflows"):
+            dynamics.classical_traveltime(d0, v0, k)
+        return
+    t = dynamics.classical_traveltime(d0, v0, k)
+    assert t >= 0.0

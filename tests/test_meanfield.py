@@ -1,9 +1,12 @@
 """Tests for the averaged Hamiltonian and its gradients."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from coherentpair import meanfield, numerics, oracle
@@ -11,6 +14,7 @@ from coherentpair.errors import DegenerateState
 from coherentpair.meanfield import PhaseState, avg_hamiltonian, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 
+import reference_kernel
 from test_numerics import central_gradient
 
 SQRT_PI = math.sqrt(math.pi)
@@ -100,13 +104,124 @@ def test_point_charge_limit():
 
 
 @pytest.mark.parametrize("rho", [7e8, 8e8, 1e9, 1e200])
-def test_erf_over_d_is_the_point_charge_past_overflow(rho):
+def test_direct_coulomb_is_the_point_charge_past_overflow(rho):
     # at s = 1e-150, rho / 4 s^2 overflows to inf between rho = 7e8 and 8e8;
     # on both sides q = erf(d / 2s) / d is 1/d and dq/drho is -1 / 2 d^3
-    q, dq = meanfield._erf_over_d(rho, 1e-150)
+    parts, dq, _ = meanfield._core(rho, 0.0, 1e-150, 0, 1.0)
+    q = parts[3]
     d = math.sqrt(rho)
     assert abs(q * d - 1.0) < 1e-15
     assert abs(dq * (-2.0 * d ** 3) - 1.0) < 1e-15
+
+
+def dawson_ratio_via_core(x):
+    """F(x)/x and its derivative in x^2 (x >= 0), read back from ``_core``.
+
+    At rho = 0 and sign +1 the exchange Coulomb term is (x_pref F(x)/x -
+    g d_term) / (1 + g), with g = exp(-x^2) and x = 2 s |p|.  At s = 2^153
+    and kappa = sqrt(pi) s the prefactor x_pref is exactly 1, and pp =
+    (x / 2s)^2 gives x back exactly; the derivative enters dE/dpp as
+    4 s^2 (F/x)' = 2^308 (F/x)', far above the kinetic 1.  Where g
+    underflows (x > 27) both values come back bit for bit; below, within
+    a few ulps of g.
+    """
+    s = 2.0 ** 153
+    kappa = meanfield._SQRT_PI * s
+    y = x / (2.0 * s)
+    pp = y * y
+    parts, _, de_dpp = meanfield._core(0.0, pp, s, 1, kappa)
+    s4 = 4.0 * s * s
+    g = math.exp(-s4 * pp)
+    den = 1.0 + g
+    ratio = parts[4] * den + g * parts[3]
+    # dE/dpp = (dnum/dpp (1 + g) + num 4 s^2 g) / (1 + g)^2, num = pp + d_term + F/x
+    dnum_dpp = de_dpp * den - (pp + parts[3] + ratio) * (s4 * g) / den
+    return ratio, (dnum_dpp - 1.0) / s4
+
+
+def test_dawson_ratio_limits():
+    assert dawson_ratio_via_core(0.0)[0] == 1.0
+    assert abs(dawson_ratio_via_core(1e-8)[0] - 1.0) < 1e-10
+    # derivative wrt x^2 at 0 is -2/3
+    assert abs(dawson_ratio_via_core(0.0)[1] + 2.0 / 3.0) < 1e-12
+    assert abs(dawson_ratio_via_core(1e-4)[1] + 2.0 / 3.0) < 1e-6
+
+
+@pytest.mark.parametrize("x, bound", [
+    (10.0, 1e-13),  # direct formula
+    (1e2, 1e-14),  # asymptotic series from here on
+    (1e3, 1e-15),
+    (1e6, 1e-15),
+    (1e120, 0.0),  # the derivative underflows to -0.0
+    (1e200, 0.0),  # and so does the ratio
+])
+def test_dawson_ratio_large_x_against_mpmath(x, bound):
+    mpmath = pytest.importorskip("mpmath")
+    # x - 2 x^2 F - F cancels to O(1/x^3): carry 4 log10(x) extra digits
+    with mpmath.workdps(30 + 4 * int(math.log10(x))):
+        xm = mpmath.mpf(x)
+        f = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-xm * xm) * mpmath.erfi(xm)
+        ref_ratio = float(f / xm)
+        ref_ddx2 = float((xm - 2 * xm * xm * f - f) / (2 * xm ** 3))
+    ratio, ddx2 = dawson_ratio_via_core(x)
+    assert abs(ratio - ref_ratio) <= 1e-15 * ref_ratio
+    assert abs(ddx2 - ref_ddx2) <= bound * abs(ref_ddx2)
+
+
+def near(threshold):
+    """Floats within a few ulps, or within a part in 1e6, of ``threshold``."""
+    return (st.integers(-4, 4).map(lambda k: threshold * (1.0 + k * 2.0 ** -52))
+            | st.floats(threshold * (1.0 - 1e-6), threshold * (1.0 + 1e-6)))
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# z2 = rho / 4 s^2 and x = 2 s |p| on both sides of every series switch of
+# the kernel, anywhere between, where e_r = exp(-z2) turns subnormal and
+# underflows to 0, far beyond, and past the float range (inf: rho / 4 s^2
+# overflows for a finite rho)
+Z2 = (near(1e-6) | near(1e-4) | log_uniform(1e-12, 1e3) | st.floats(700.0, 760.0)
+      | log_uniform(1e3, 1e300) | st.just(0.0) | st.just(math.inf))
+X = near(1e-4) | near(1e-3) | near(8.0) | near(100.0) | log_uniform(1e-12, 1e200) | st.just(0.0)
+
+
+def outcome(core, *args):
+    """The floats a kernel returns, by ``float.hex``, or the type of what it raises."""
+    try:
+        parts, de_drho, de_dpp = core(*args)
+    except Exception as exc:  # the kernels must fail alike, whatever the failure
+        return type(exc)
+    return [float.hex(v) for v in (*parts, de_drho, de_dpp)]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(
+    z2=Z2,
+    x=X,
+    s=log_uniform(1e-150, 1e150),
+    sign=st.sampled_from([-1, 0, 1]),
+    float_sign=st.booleans(),
+    kappa=st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3) | log_uniform(1e-300, 1e300),
+)
+# x_pref (F/x)' times 4 overflows where times 4 s^2 would not: dE/dpp is -inf
+@example(z2=0.0, x=1e-5, s=1e-10, sign=1, float_sign=True, kappa=1.5e298)
+def test_core_is_the_kernel_it_replaced_bit_for_bit(z2, x, s, sign, float_sign, kappa):
+    rho = z2 * (4.0 * s * s)
+    if z2 == math.inf:
+        # 8 s^2 times the largest float: finite, with rho / 4 s^2 = inf, below s = 0.35
+        rho = min(sys.float_info.max, 8.0 * s * s * sys.float_info.max)
+    y = x / (2.0 * s)
+    pp = y * y
+    want = outcome(reference_kernel._core, rho, pp, s, sign, kappa)
+    args = (rho, pp, s, float(sign) if float_sign else sign, kappa)
+    assert outcome(meanfield._core, *args) == want
+    # without the energy terms, the same gradient
+    if isinstance(want, list):
+        parts, de_drho, de_dpp = meanfield._core(*args, False)
+        assert [float.hex(de_drho), float.hex(de_dpp)] == want[5:]
+        assert parts is None or [float.hex(v) for v in parts] == want[:5]
 
 
 def test_coincident_coulomb_anchor():
@@ -149,10 +264,11 @@ def test_core_calls_each_special_function_once(monkeypatch, sign):
             return fn(x)
         return wrapper
 
-    erf, dawson = numerics.erf, numerics.dawson
+    erf, dawson, exp = numerics.erf, numerics.dawson, math.exp
     monkeypatch.setattr(numerics, "erf", counted(erf))
     monkeypatch.setattr(numerics, "dawson", counted(dawson))
-    # rho and pp straddle the series thresholds of both helpers at s = 1
+    monkeypatch.setattr(math, "exp", counted(exp))
+    # rho and pp straddle the series thresholds of both expansions at s = 1
     for rho in (0.0, 2e-6, 2e-4, 2.0, 400.0):
         for pp in (0.0, 1e-9, 1e-7, 0.25, 30.0):
             calls.clear()
@@ -163,6 +279,9 @@ def test_core_calls_each_special_function_once(monkeypatch, sign):
                 meanfield._core(rho, pp, 1.0, sign, 1.0)
             assert calls.count(erf) <= 1, (rho, pp)
             assert calls.count(dawson) <= 1, (rho, pp)
+            # exp(-rho / 4s^2) serves the direct Coulomb slope and the exchange
+            # terms; exp(-rho / 4s^2 - 4 s^2 pp) is the exchange overlap
+            assert calls.count(exp) <= (2 if sign else 1), (rho, pp)
 
 
 def test_frozen_mode_time_independence():

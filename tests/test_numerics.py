@@ -77,36 +77,6 @@ def test_dawson_against_mpmath():
     assert worst <= 1e-15
 
 
-def test_dawson_ratio_limits():
-    assert numerics.dawson_ratio(0.0)[0] == 1.0
-    assert abs(numerics.dawson_ratio(1e-8)[0] - 1.0) < 1e-10
-    # derivative wrt x^2 at 0 is -2/3
-    assert abs(numerics.dawson_ratio(0.0)[1] + 2.0 / 3.0) < 1e-12
-    assert abs(numerics.dawson_ratio(1e-4)[1] + 2.0 / 3.0) < 1e-6
-
-
-@pytest.mark.parametrize("x, bound", [
-    (10.0, 1e-13),  # direct formula
-    (1e2, 1e-14),  # asymptotic series from here on
-    (1e3, 1e-15),
-    (1e6, 1e-15),
-    (1e120, 0.0),  # the derivative underflows to -0.0
-    (1e200, 0.0),  # and so does the ratio
-])
-def test_dawson_ratio_large_x_against_mpmath(x, bound):
-    mpmath = pytest.importorskip("mpmath")
-    # x - 2 x^2 F - F cancels to O(1/x^3): carry 4 log10(x) extra digits
-    with mpmath.workdps(30 + 4 * int(math.log10(x))):
-        xm = mpmath.mpf(x)
-        f = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-xm * xm) * mpmath.erfi(xm)
-        ref_ratio = float(f / xm)
-        ref_ddx2 = float((xm - 2 * xm * xm * f - f) / (2 * xm ** 3))
-    for sign in (1.0, -1.0):
-        ratio, ddx2 = numerics.dawson_ratio(sign * x)
-        assert abs(ratio - ref_ratio) <= 1e-15 * ref_ratio
-        assert abs(ddx2 - ref_ddx2) <= bound * abs(ref_ddx2)
-
-
 # Whole-line, half-line and 3D quadratures built on integrate_1d; the tests
 # use them as references (test_pairstate imports integrate_real_line).
 

@@ -40,11 +40,11 @@ FROZEN_RATIO = 1.0
 class Trajectory:
     """Path of one integration run: r and p at every sample time.
 
-    ``width``, ``overlap`` and ``energy`` are derived from the path and its
-    config when first read, then kept.  ``stage1`` holds the energy terms
-    of every sample that started an RK4 step (all but the last), as the
-    step's stage-1 ``_core`` call returned them; ``energy`` reuses them and
-    takes the rest from ``avg_hamiltonian``.
+    ``separation``, ``width``, ``overlap`` and ``energy`` are derived from
+    the path and its config when first read, then kept.  ``stage1`` holds
+    the energy terms of every sample that started an RK4 step (all but the
+    last), as the step's stage-1 ``_core`` call returned them; ``energy``
+    reuses them and takes the rest from ``avg_hamiltonian``.
     """
 
     config: PairConfig
@@ -53,7 +53,7 @@ class Trajectory:
     p: np.ndarray
     stage1: list = field(repr=False)
 
-    @property
+    @cached_property
     def separation(self) -> np.ndarray:
         return np.sqrt(_squares(self.r))
 
@@ -94,14 +94,12 @@ def _squares(v: np.ndarray) -> np.ndarray:
         return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
 
 
-class Outcome(enum.Enum):
-    RETURN = "return"
-    NO_RETURN = "noreturn"
-
-
 @dataclass(frozen=True)
 class TraveltimeResult:
-    outcome: Outcome
+    """``t_return`` is the time of the first return to the initial
+    separation, None if the run never returns; ``d_min`` is the smallest
+    separation up to that sample, or over the whole run."""
+
     t_return: float | None
     d_min: float
 
@@ -123,16 +121,17 @@ def integrate(
     initial: PhaseState,
     dt: float,
     t_max: float,
-    stop_at_separation: float | None = None,
+    stop_at_return: bool = False,
 ) -> Trajectory:
     """RK4 integration with one recorded sample per step.
 
     The run starts at ``initial.t`` and takes round(t_max / dt) steps.
     The right-hand side is the analytic gradient from ``meanfield._core``
     at the config's width ``config.width(t)``; the tests hold it to
-    central differences of the energy.  If ``stop_at_separation`` is given,
-    integration ends on the first sample back at or beyond it after having
-    dipped below, the sample on which ``traveltime`` finds the return.
+    central differences of the energy.  With ``stop_at_return``,
+    integration ends on the first sample back at or beyond the initial
+    separation after having dipped below, the sample on which ``traveltime``
+    finds the return.
 
     Each step is ``numerics.rk4_step`` on the six floats of (r, p), except
     that a head-on start, whose r_x, r_y, p_x and p_y are all +0.0, is
@@ -160,13 +159,12 @@ def integrate(
     h = 0.5 * dt
     sixth = dt / 6.0
     stage_terms = []
+    core, rk4_step = _core, numerics.rk4_step
 
     def deriv(y, t):
         """dy/dt for y = (rx, ry, rz, px, py, pz) at time t; keeps the energy terms."""
         rx, ry, rz, px, py, pz = y
-        # _core is read from the module at every call: the benchmark tracer
-        # counts right-hand-side calls by patching it there
-        terms, de_drho, de_dpp = _core(
+        terms, de_drho, de_dpp = core(
             rx * rx + ry * ry + rz * rz, px * px + py * py + pz * pz, width(t), sign, kappa
         )
         stage_terms.append(terms)
@@ -177,50 +175,52 @@ def integrate(
     def full_step(y, t, s=None):
         """Stage-1 energy terms, the state one step after (y, t) and None."""
         stage_terms.clear()
-        # read from the module, where the benchmark tracer counts its calls
-        y = numerics.rk4_step(y, t, dt, deriv)
+        y = rk4_step(y, t, dt, deriv)
         return stage_terms[0], y, None
 
     def axis_step(y, t, s):
         """``full_step`` of a state whose x and y entries are +0.0, at width s = width(t).
 
         The stages are those of ``deriv`` without the +0.0 terms (0 + 0 +
-        rz * rz is rz * rz), with ``_core`` read from the module as there;
-        the later three skip the energy terms.  Its third item is width(t + dt),
-        the next step's s, as the loop's next t is t + dt.  A step that fails
-        here is redone by ``full_step``.
+        rz * rz is rz * rz); the later three skip the energy terms.  Its
+        third item is width(t + dt), the next step's s, as the loop's next t
+        is t + dt.  A step that raises or ends non-finite here is redone by
+        ``full_step``.
         """
         rz, pz = y[2], y[5]
         s_half = width(t + h)
         s_end = width(t + dt)
         try:
-            terms, de_drho, de_dpp = _core(rz * rz, pz * pz, s, sign, kappa)
+            terms, de_drho, de_dpp = core(rz * rz, pz * pz, s, sign, kappa)
             a3 = 2.0 * de_dpp * pz
             a6 = -(2.0 * de_drho) * rz
             z, q = rz + h * a3, pz + h * a6
-            _, de_drho, de_dpp = _core(z * z, q * q, s_half, sign, kappa, False)
+            _, de_drho, de_dpp = core(z * z, q * q, s_half, sign, kappa, False)
             b3 = 2.0 * de_dpp * q
             b6 = -(2.0 * de_drho) * z
             z, q = rz + h * b3, pz + h * b6
-            _, de_drho, de_dpp = _core(z * z, q * q, s_half, sign, kappa, False)
+            _, de_drho, de_dpp = core(z * z, q * q, s_half, sign, kappa, False)
             c3 = 2.0 * de_dpp * q
             c6 = -(2.0 * de_drho) * z
             z, q = rz + dt * c3, pz + dt * c6
-            _, de_drho, de_dpp = _core(z * z, q * q, s_end, sign, kappa, False)
+            _, de_drho, de_dpp = core(z * z, q * q, s_end, sign, kappa, False)
             d3 = 2.0 * de_dpp * q
             d6 = -(2.0 * de_drho) * z
+            rz += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+            pz += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+            if math.isfinite(rz) and math.isfinite(pz):
+                return terms, (0.0, 0.0, rz, 0.0, 0.0, pz), s_end
         except (ArithmeticError, CoherentPairError):
-            return full_step(y, t)[:2] + (s_end,)
-        rz += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-        pz += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
-        if not (math.isfinite(rz) and math.isfinite(pz)):
-            return full_step(y, t)[:2] + (s_end,)
-        return terms, (0.0, 0.0, rz, 0.0, 0.0, pz), s_end
+            pass
+        return full_step(y, t)[:2] + (s_end,)
 
     y = tuple(initial.r.tolist() + initial.p.tolist())
     # +0.0 only: copysign tells -0.0 apart, == does not
     head_on = all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in (y[0], y[1], y[3], y[4]))
     step = axis_step if head_on else full_step
+    # d = |r| as Trajectory.separation evaluates it, bit for bit, here and
+    # in the stop rule, so the run stops where traveltime finds the return
+    d0 = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2])
     t = float(initial.t)
     s = width(t)
     ts = [t]
@@ -234,11 +234,10 @@ def integrate(
             t = t + dt
             ts.append(t)
             ys.append(y)
-            if stop_at_separation is not None:
-                # the expression Trajectory.separation evaluates, bit for bit
+            if stop_at_return:
                 rx, ry, rz = y[:3]
                 d = math.sqrt(rx * rx + ry * ry + rz * rz)
-                if d < stop_at_separation:
+                if d < d0:
                     dipped = True
                 elif dipped:
                     break
@@ -275,8 +274,8 @@ def traveltime(traj: Trajectory) -> TraveltimeResult:
             prev, dk = float(d[k - 1]), float(d[k])
             frac = (d_init - prev) / (dk - prev)
             t_ret = float(traj.t[k - 1]) + frac * (float(traj.t[k]) - float(traj.t[k - 1]))
-            return TraveltimeResult(Outcome.RETURN, t_ret, float(d[:k + 1].min()))
-    return TraveltimeResult(Outcome.NO_RETURN, None, float(d.min()))
+            return TraveltimeResult(t_ret, float(d[:k + 1].min()))
+    return TraveltimeResult(None, float(d.min()))
 
 
 def free_traveltime(d0: float, v0: float) -> float:
@@ -347,7 +346,7 @@ def classify(traj: Trajectory, result: TraveltimeResult) -> Regime:
     a return the trajectory is frozen when d(t)/sigma_x(t) stays below
     FROZEN_RATIO over the final quarter, otherwise NO_RETURN.
     """
-    if result.outcome is Outcome.RETURN:
+    if result.t_return is not None:
         if result.d_min < PASSTHROUGH_FRACTION * traj.config.sigma:
             return Regime.PASS_THROUGH
         return Regime.CLASSICAL_LIKE
@@ -390,12 +389,7 @@ def _sweep_point(
         t_cl = classical_traveltime(d0, v0, config.coupling)
         horizon_t = t_max if t_max is not None else horizon_factor * t_free
         step = dt if dt is not None else t_free / 400.0
-        traj = integrate(
-            meanfield.initial_state(config),
-            step,
-            horizon_t,
-            stop_at_separation=d0,
-        )
+        traj = integrate(meanfield.initial_state(config), step, horizon_t, stop_at_return=True)
         result = traveltime(traj)
         regime = classify(traj, result)
         return SweepRecord(p_val, result.t_return, t_cl, t_free, regime, result.d_min)

@@ -4,8 +4,10 @@ The phase-space state carries the relative coordinate r = r1 - r2 and the
 relative momentum p = (p1 - p2)/2; the underlying packets sit at +/- r/2
 with momenta +/- p and share the config's width sigma_x(t).  This pair
 (r, p) is canonically conjugate, so Hamilton's equations dr/dt = dE/dp,
-dp/dt = -dE/dr reproduce free packet drift (each center moves at p/m) and
-reduce to the reduced-mass m/2 Coulomb collision when the width is small.
+dp/dt = -dE/dr reduce to the reduced-mass m/2 Coulomb collision when the
+width is small.  Without the Coulomb term they reproduce free packet drift
+(each center moves at p/m) for the distinguishable pair only: the exchange
+terms still move an overlapping symmetric or antisymmetric pair.
 
 Every closed-form term below was derived from Gaussian integrals over the
 pair state and is pinned term-by-term by the quadrature oracles; none of

@@ -90,6 +90,8 @@ class PairConfig:
 
     def width(self, t: float) -> float:
         """Packet width sigma_x(t) = sigma sqrt(1 + omega^2 t^2); exactly sigma when frozen."""
+        if self.omega == 0.0:  # the law's bytes at finite t; at +-inf it reads 0 * inf
+            return self.sigma
         if abs(self.omega * t) < 2.0 ** 27:
             return self.sigma * math.sqrt(1.0 + (self.omega * t) ** 2)
         # the 1 is below half an ulp of (omega t)^2; sigma omega first, as omega t may overflow

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from coherentpair import cli, dynamics, observables, oracle
-from coherentpair.dynamics import Outcome, Regime
+from coherentpair.dynamics import Regime
 from coherentpair.meanfield import PhaseState, avg_hamiltonian, initial_state
 from coherentpair.observables import SeriesKind, detect, tensor_from_params
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
@@ -143,7 +143,7 @@ def test_criterion_07_classical_limit():
                          ExchangeSymmetry.DISTINGUISHABLE, 1.0, frozen_width=True)
         t_free = dynamics.free_traveltime(d0, v0)
         traj = dynamics.integrate(initial_state(cfg), t_free / 4000.0, 3.0 * t_free,
-                                  stop_at_separation=d0)
+                                  stop_at_return=True)
         res = dynamics.traveltime(traj)
         t_cl = dynamics.classical_traveltime(d0, v0, 1.0)
         worst = max(worst, abs(res.t_return / t_cl - 1.0))
@@ -164,7 +164,7 @@ def test_criterion_08_free_limit():
         v0 = 2.0 * p
         t_free = dynamics.free_traveltime(d0, v0)
         traj = dynamics.integrate(initial_state(cfg), t_free / 2000.0, 4.0 * t_free,
-                                  stop_at_separation=d0)
+                                  stop_at_return=True)
         res = dynamics.traveltime(traj)
         products.append(res.t_return * p)
         ratios.append(res.t_return / t_free)
@@ -217,7 +217,7 @@ def test_criterion_10_quadrupole_verdicts():
     ok = (v_typ.kind is SeriesKind.MONOTONE_AFTER_TRANSIENT
           and v_fro.kind is SeriesKind.OSCILLATORY
           and v_fro.extrema_count >= 2
-          and res.outcome is Outcome.NO_RETURN)
+          and res.t_return is None)
     report(10, "typical run monotone, frozen run oscillatory (>= 2 extrema)",
            ok, f"typical={v_typ.kind.value}, frozen={v_fro.kind.value} "
                f"({v_fro.extrema_count} extrema)")

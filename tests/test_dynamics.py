@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from coherentpair import dynamics, meanfield, numerics, pairstate
-from coherentpair.dynamics import Outcome, Regime
+from coherentpair.dynamics import Regime
 from coherentpair.errors import MalformedTrajectory, NonFinite
 from coherentpair.meanfield import PhaseState, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
@@ -41,6 +41,23 @@ def test_free_motion_exact():
     expected = 10.0 - 1.0 * traj.t  # dr/dt = 2p with p_z = -0.5
     assert float(np.max(np.abs(traj.r[:, 2] - expected))) < 1e-9
     np.testing.assert_allclose(traj.p, np.tile([0.0, 0.0, -0.5], (1001, 1)), atol=1e-12)
+
+
+@pytest.mark.parametrize("symmetry, frozen, pz", [
+    (ExchangeSymmetry.SYMMETRIC, False, -0.3284),
+    (ExchangeSymmetry.SYMMETRIC, True, -0.2129),
+    (ExchangeSymmetry.ANTISYMMETRIC, False, -0.1811),
+    (ExchangeSymmetry.ANTISYMMETRIC, True, +0.3765),
+    (ExchangeSymmetry.DISTINGUISHABLE, False, -0.3),
+    (ExchangeSymmetry.DISTINGUISHABLE, True, -0.3),
+], ids=lambda v: getattr(v, "value", v))
+def test_only_the_distinguishable_pair_drifts_freely(symmetry, frozen, pz):
+    # at kappa = 0 the exchange terms still act on an overlapping pair (N =
+    # 0.27 here): the numbers describe the model, they are not a gate on it
+    cfg = PairConfig(1.0, np.array([0.0, 0.0, 1.5]), np.array([0.0, 0.0, -0.3]), symmetry,
+                     0.0, frozen_width=frozen)
+    traj = dynamics.integrate(initial_state(cfg), 0.01, 20.0)
+    assert abs(traj.p[-1, 2] - pz) < 1e-4
 
 
 def test_time_reversal():
@@ -161,7 +178,7 @@ def test_integrate_matches_the_array_rk4_bit_for_bit(symmetry, frozen, stop):
         t_free = dynamics.free_traveltime(10.0, 0.6)
         d0 = float(np.linalg.norm(state.r)) if stop else None
         args = (state, t_free / 200.0, 2.5 * t_free, d0)
-        traj = dynamics.integrate(*args)
+        traj = dynamics.integrate(*args[:3], stop_at_return=stop)
         for got, want in zip((traj.t, traj.r, traj.p, traj.width), integrate_arrays(*args)):
             assert np.array_equal(got, want), name
             assert np.array_equal(np.signbit(got), np.signbit(want)), name
@@ -200,8 +217,7 @@ def test_energy_and_overlap_are_computed_on_first_read(monkeypatch, symmetry, fr
     monkeypatch.setattr(meanfield, "_core", counted)
     cfg = make_config(p=0.3, symmetry=symmetry, frozen=frozen)
     state = initial_state(cfg)
-    d0 = float(np.linalg.norm(state.r)) if stop else None
-    traj = dynamics.integrate(state, 0.1, 100.0 if stop else 12.0, d0)
+    traj = dynamics.integrate(state, 0.1, 100.0 if stop else 12.0, stop)
     if stop:  # the return ends the run before its 1000 steps
         assert traj.t.size < 1000
     assert calls == []
@@ -261,7 +277,7 @@ def test_head_on_axis_loop_matches_the_six_float_loop_bit_for_bit(symmetry, froz
     for p in (0.1, 0.15, 1.0):
         state = initial_state(make_config(p=p, symmetry=symmetry, frozen=frozen))
         t_free = dynamics.free_traveltime(10.0, 2.0 * p)
-        args = (t_free / 200.0, 2.5 * t_free, 10.0 if stop else None)
+        args = (t_free / 200.0, 2.5 * t_free, stop)
         axis = dynamics.integrate(state, *args)
         six = dynamics.integrate(six_float_reference(state), *args)
         regimes.add(assert_axis_run_is_the_six_float_run(axis, six))
@@ -307,7 +323,7 @@ def test_every_step_makes_four_rhs_calls_and_energies_one_more(monkeypatch, star
 
     monkeypatch.setattr(dynamics, "_core", counting("rhs", dynamics._core))
     monkeypatch.setattr(meanfield, "_core", counting("energy", meanfield._core))
-    for stop in (None, 10.0):
+    for stop in (False, True):
         calls.update(rhs=0, energy=0)
         traj = dynamics.integrate(start_state(start, p=0.3), 0.1, 100.0, stop)
         assert calls == {"rhs": 4 * (traj.t.size - 1), "energy": 0}
@@ -334,7 +350,7 @@ def test_traveltime_free_flight():
     traj = dynamics.integrate(initial_state(cfg), 0.01, 30.0)
     res = dynamics.traveltime(traj)
     # separation rate is 2|p| = 1, so return after 2 d0 / (2 p) = 20
-    assert res.outcome is Outcome.RETURN
+    assert res.t_return is not None
     assert abs(res.t_return - 20.0) < 1e-6
     assert res.d_min < 0.02
 
@@ -347,7 +363,7 @@ def test_traveltime_requires_inward_motion():
 
 
 def traveltime_loop(traj):
-    """(outcome, t_return, d_min) by the per-sample loop traveltime once ran."""
+    """(t_return, d_min) by the per-sample loop traveltime once ran."""
     d = traj.separation
     d_init = float(d[0])
     below = False
@@ -362,8 +378,8 @@ def traveltime_loop(traj):
             prev = float(d[k - 1])
             frac = (d_init - prev) / (dk - prev) if dk > prev else 1.0
             t_ret = float(traj.t[k - 1]) + frac * (float(traj.t[k]) - float(traj.t[k - 1]))
-            return Outcome.RETURN, t_ret, d_min
-    return Outcome.NO_RETURN, None, d_min
+            return t_ret, d_min
+    return None, d_min
 
 
 def separation_path(d):
@@ -385,15 +401,14 @@ def test_traveltime_matches_the_per_sample_loop(symmetry, stop):
             cfg = make_config(p=p, symmetry=symmetry, frozen=frozen)
             state = initial_state(cfg)
             t_free = dynamics.free_traveltime(10.0, 2.0 * p)
-            d0 = float(np.linalg.norm(state.r)) if stop else None
             # a horizon short of the free return time gives the no-return cases
             for horizon in (0.6, 3.0):
-                traj = dynamics.integrate(state, t_free / 100.0, horizon * t_free, d0)
+                traj = dynamics.integrate(state, t_free / 100.0, horizon * t_free, stop)
                 res = dynamics.traveltime(traj)
                 want = traveltime_loop(traj)
-                assert (res.outcome, res.t_return, res.d_min) == want, (p, frozen, horizon)
-                outcomes.add(res.outcome)
-    assert outcomes == {Outcome.RETURN, Outcome.NO_RETURN}
+                assert (res.t_return, res.d_min) == want, (p, frozen, horizon)
+                outcomes.add(res.t_return is None)
+    assert outcomes == {False, True}
 
 
 def test_hand_built_path_reads_one_width_law():
@@ -427,7 +442,7 @@ def test_hand_built_path_reads_one_width_law():
 def test_traveltime_matches_the_per_sample_loop_on_hand_made_paths(d):
     traj = separation_path(d)
     res = dynamics.traveltime(traj)
-    assert (res.outcome, res.t_return, res.d_min) == traveltime_loop(traj)
+    assert (res.t_return, res.d_min) == traveltime_loop(traj)
 
 
 def test_free_traveltime():
@@ -658,9 +673,9 @@ def test_classify_classical_reflection():
                       frozen=True)
     t_free = dynamics.free_traveltime(10.0, 0.7)
     traj = dynamics.integrate(initial_state(cfg), t_free / 2000.0, 3.0 * t_free,
-                              stop_at_separation=10.0)
+                              stop_at_return=True)
     res = dynamics.traveltime(traj)
-    assert res.outcome is Outcome.RETURN
+    assert res.t_return is not None
     assert dynamics.classify(traj, res) is Regime.CLASSICAL_LIKE
     # quantitative classical limit lives in the acceptance suite
     t_cl = dynamics.classical_traveltime(10.0, 0.7, 1.0)
@@ -672,7 +687,7 @@ def test_classify_frozen_window():
     t_free = dynamics.free_traveltime(10.0, 0.28)
     traj = dynamics.integrate(initial_state(cfg), t_free / 400.0, 2.5 * t_free)
     res = dynamics.traveltime(traj)
-    assert res.outcome is Outcome.NO_RETURN
+    assert res.t_return is None
     assert dynamics.classify(traj, res) is Regime.FROZEN
 
 
@@ -684,7 +699,7 @@ def test_sweep_single_point_consistency():
     t_free = dynamics.free_traveltime(10.0, 1.0)
     assert abs(rec.t_free - t_free) < 1e-12
     traj = dynamics.integrate(initial_state(make_config(p=0.5)), t_free / 400.0,
-                              5.0 * t_free, stop_at_separation=10.0)
+                              5.0 * t_free, stop_at_return=True)
     res = dynamics.traveltime(traj)
     assert abs(rec.t_coherent - res.t_return) < 1e-9
 
@@ -696,7 +711,7 @@ def test_sweep_honours_the_template_frozen_width():
     t_free = dynamics.free_traveltime(10.0, 0.4)
     cfg = make_config(p=0.2, frozen=True)
     traj = dynamics.integrate(initial_state(cfg), t_free / 400.0, 2.5 * t_free,
-                              stop_at_separation=10.0)
+                              stop_at_return=True)
     res = dynamics.traveltime(traj)
     assert (rec.t_coherent, rec.d_min) == (res.t_return, res.d_min)
     assert rec.regime is dynamics.classify(traj, res)
@@ -724,7 +739,7 @@ def test_early_stop_ends_on_the_return_sample(symmetry, frozen):
         t_free = dynamics.free_traveltime(10.0, 2.0 * p)
         args = (initial_state(cfg), t_free / 400.0, 2.5 * t_free)
         full = dynamics.integrate(*args)
-        stopped = dynamics.integrate(*args, stop_at_separation=10.0)
+        stopped = dynamics.integrate(*args, stop_at_return=True)
         res_full = dynamics.traveltime(full)
         res_stop = dynamics.traveltime(stopped)
         assert res_stop == res_full, p0
@@ -732,13 +747,34 @@ def test_early_stop_ends_on_the_return_sample(symmetry, frozen):
         n = stopped.t.size
         np.testing.assert_array_equal(stopped.r, full.r[:n])
         d = stopped.separation
-        if res_full.outcome is Outcome.RETURN:
+        if res_full.t_return is not None:
             # d dips below d0 and the path ends on the first sample back at d0
             first = int(np.argmax(d < 10.0))
             assert first > 0 and np.all(d[first:-1] < 10.0) and d[-1] >= 10.0, p0
             assert n < full.t.size
         else:
             assert n == full.t.size
+
+
+@pytest.mark.parametrize("r0, p, dt, t_max", [
+    (5.0, 0.3, 0.1, 100.0),
+    # (2 r0)^2 overflows: the separation is inf from the start, and the
+    # return is the first sample whose |r|^2 overflows again
+    (7e153, 1e152, 1.0, 200.0),
+    # (2 r0)^2 is subnormal: the separation is 2 r0 to 5 digits only
+    (1e-160, 1e-160, 0.01, 3.0),
+], ids=["normal", "square-overflows", "square-subnormal"])
+def test_a_stopped_run_ends_back_at_the_separation_traveltime_starts_from(r0, p, dt, t_max):
+    cfg = PairConfig(1.0, np.array([0.0, 0.0, r0]), np.array([0.0, 0.0, -p]),
+                     ExchangeSymmetry.DISTINGUISHABLE, 0.0, frozen_width=True)
+    full = dynamics.integrate(initial_state(cfg), dt, t_max)
+    stopped = dynamics.integrate(initial_state(cfg), dt, t_max, stop_at_return=True)
+    d = full.separation
+    assert (float(d[0]) == 2.0 * r0) == (r0 == 5.0)
+    first = int(np.argmax(d < d[0]))
+    back = first + int(np.argmax(d[first:] >= d[0]))
+    assert 0 < first < back == stopped.t.size - 1 < full.t.size - 1
+    np.testing.assert_array_equal(stopped.r, full.r[:back + 1])
 
 
 @pytest.mark.parametrize("start", list(_STARTS))

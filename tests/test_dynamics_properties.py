@@ -10,7 +10,9 @@ fails.
 
 Scale covariance (see ``test_symmetries``) holds over drawn starts to
 round-off for any lam; the bitwise cases at lam = 2 and 1/2 stay fixed
-there, since a drawn subnormal term loses bits when scaled.
+there, since a drawn subnormal term loses bits when scaled.  Over the same
+well-conditioned starts, a run stepped back from -T with p flipped ends
+where the run from 0 began, to within RK4's error at the step used.
 
 The attractive classical traveltime is drawn over every decade of d0, p
 and |k|: it is never nan and stays between the limits of its closed form.
@@ -28,7 +30,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from coherentpair import dynamics  # noqa: E402
 from coherentpair.errors import CoherentPairError  # noqa: E402
-from coherentpair.meanfield import initial_state  # noqa: E402
+from coherentpair.meanfield import PhaseState, initial_state  # noqa: E402
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig  # noqa: E402
 
 from test_dynamics import (  # noqa: E402
@@ -60,7 +62,7 @@ def test_head_on_axis_loop_matches_the_six_float_loop(sigma, r0, p, coupling, sy
                      coupling, frozen_width=frozen)
     state = initial_state(cfg)
     t_free = dynamics.free_traveltime(2.0 * r0, 2.0 * p)
-    args = (t_free / 100.0, 2.5 * t_free, 2.0 * r0 if stop else None)
+    args = (t_free / 100.0, 2.5 * t_free, stop)
     axis = run_or_error(state, *args)
     six = run_or_error(six_float_reference(state), *args)
     if isinstance(axis, tuple) or isinstance(six, tuple):
@@ -122,7 +124,7 @@ def test_oblique_runs_match_the_array_rk4_bit_for_bit(sigma, r0, p, fractions, c
     assume(np.signbit(xy).any() or xy.any())
     rx, ry, rz = state.r.tolist()
     stop_at = math.sqrt(rx * rx + ry * ry + rz * rz) if stop else None
-    traj, k = counted_run(state, dt, 2.5 * t_free, stop_at)
+    traj, k = counted_run(state, dt, 2.5 * t_free, stop)
     with np.errstate(all="ignore"):
         if k is None:
             for got, want in zip((traj.t, traj.r, traj.p, traj.width),
@@ -134,7 +136,7 @@ def test_oblique_runs_match_the_array_rk4_bit_for_bit(sigma, r0, p, fractions, c
         want = integrate_arrays(state, dt, k * dt, stop_at)
         assert all(np.isfinite(w).all() for w in want)
         if k >= 2:
-            prefix = dynamics.integrate(state, dt, k * dt, stop_at)
+            prefix = dynamics.integrate(state, dt, k * dt, stop)
             for got, w in zip((prefix.t, prefix.r, prefix.p, prefix.width), want):
                 assert np.array_equal(got, w)
         # and the reference fails in step k too: it raises or ends non-finite
@@ -200,6 +202,46 @@ def test_integrate_is_scale_covariant_over_drawn_starts(sigma, ratio, p, px, cou
     ):
         # relative to each column's largest magnitude; an all-zero column stays zero
         assert np.all(np.abs(got - want) <= bound * np.abs(want).max(axis=0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sigma=st.floats(0.5, 2.0),
+    ratio=st.floats(4.0, 12.0),
+    p=st.floats(0.1, 1.0),
+    px=st.floats(-0.3, 0.3),
+    coupling=st.floats(0.5, 2.0),
+    symmetry=st.sampled_from(list(ExchangeSymmetry)),
+    frozen=st.booleans(),
+)
+def test_time_reversal_over_drawn_starts(sigma, ratio, p, px, coupling, symmetry, frozen):
+    """A run from 0 to T, then from -T with p flipped, ends at the start with p flipped.
+
+    E depends on p only through |p|^2 and the width is even in t, so both
+    width laws are reversible.  The back leg is the forward RK4 step with
+    -dt, which cancels RK4's leading local error (odd, order dt^5), so the
+    round trip errs less than one leg: at dt = t_free / 200, at most 0.58
+    of the bound's estimate over 1600 random draws and the 288 corners of
+    this box (0.88 at t_free / 100).  The estimate is the largest
+    difference over the run between the samples at dt and at dt / 2, in r
+    and in p relative to its largest magnitude; the round-off floor is
+    2 eps a step.  The box is the scale covariance test's.
+    """
+    r0 = ratio * sigma
+    cfg = PairConfig(sigma, np.array([0.0, 0.0, r0]), np.array([px, 0.0, -p]), symmetry,
+                     coupling, frozen_width=frozen)
+    t_free = dynamics.free_traveltime(2.0 * r0, 2.0 * p)
+    dt, horizon = t_free / 200.0, 1.5 * t_free
+    fwd = dynamics.integrate(initial_state(cfg), dt, horizon)
+    half = dynamics.integrate(initial_state(cfg), dt / 2.0, horizon)
+    assert half.t.size == 2 * fwd.t.size - 1
+    back = dynamics.integrate(PhaseState(fwd.r[-1], -fwd.p[-1], -fwd.t[-1], cfg), dt, horizon)
+    floor = 2.0 * (fwd.t.size - 1) * sys.float_info.epsilon
+    for path, half_path, start, end in ((fwd.r, half.r, fwd.r[0], back.r[-1]),
+                                        (fwd.p, half.p, fwd.p[0], -back.p[-1])):
+        scale = np.abs(path).max()
+        estimate = np.abs(path - half_path[::2]).max() / scale
+        assert np.abs(end - start).max() / scale <= estimate + floor
 
 
 # positive floats of every decade, subnormals included

@@ -340,6 +340,22 @@ def test_frozen_width_is_sigma_at_every_finite_time(sigma, t):
     assert PairConfig(sigma, frozen_width=True).width(t) == sigma
 
 
+@settings(max_examples=300, deadline=None)
+@given(sigma=sigmas, t=st.floats(allow_nan=False, allow_infinity=False))
+@example(sigma=1.0, t=1e300)
+@example(sigma=1e-150, t=-5e-324)
+def test_frozen_width_keeps_the_bytes_of_the_square_root_law(sigma, t):
+    cfg = PairConfig(sigma, frozen_width=True)
+    assert cfg.width(t).hex() == square_root_law(cfg, t).hex()
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+@pytest.mark.parametrize("sigma", [1e-150, 0.8, 1e150])
+def test_frozen_width_is_sigma_at_infinite_time(sigma, t):
+    # the square-root law reads 0 * inf = nan there
+    assert PairConfig(sigma, frozen_width=True).width(t) == sigma
+
+
 def test_tiny_sigma_spreads_to_a_finite_width():
     # omega t = 5e449 is beyond the float range, sigma omega t = 5e299 is not
     w = PairConfig(1e-150).width(1e150)

@@ -269,6 +269,8 @@ def traveltime(traj: Trajectory) -> TraveltimeResult:
     if below.size:
         back = np.flatnonzero(d[below[0]:] >= d_init)
         if back.size:
+            if d_init == math.inf:  # (2 r0)^2 overflowed: the crossing would be inf / inf
+                raise MalformedTrajectory("initial separation is not finite")
             # the sample before the return is below d_init, so dk > prev
             k = int(below[0] + back[0])
             prev, dk = float(d[k - 1]), float(d[k])

@@ -92,13 +92,15 @@ def _core(rho: float, pp: float, s: float, sign: float, kappa: float, terms: boo
 
     rho = |r|^2, pp = |p|^2, sign -1, 0 or +1 (as a float it spares every
     product a conversion).  Returns (breakdown tuple, dE_drho, dE_dpp); with
-    ``terms`` false an exchange pair's breakdown is None.
+    ``terms`` false an exchange pair's breakdown is None.  The exchange terms
+    are in the pair's own units a = rho / 4s^2 and b = 4 s^2 |p|^2: kinetic
+    ones are functions of (a, b) over 4s^2, Coulomb ones times kappa / s.
     """
     s2 = s * s
     s4 = 4.0 * s2
     z2 = rho / s4
-    if z2 == math.inf:
-        # erf(d / 2s) is 1 long before z2 overflows: the point charge 1/d, and e_r = 0
+    if not z2 < math.inf:
+        # erf(d / 2s) is 1 long before z2 overflows (or is inf/inf): 1/d, and e_r = 0
         q = 1.0 / math.sqrt(rho)
         return (pp, 3.0 / (8.0 * s2), 0.0, kappa * q, 0.0), kappa * (-q / (2.0 * rho)), 1.0
     # q = erf(d / 2s) / d as a smooth function of rho = d^2, and dq/drho, from
@@ -117,55 +119,41 @@ def _core(rho: float, pp: float, s: float, sign: float, kappa: float, terms: boo
     else:
         dq = (_TWO_OVER_SQRT_PI * z * e_r - e) / (2.0 * d * d * d)
     d_term = kappa * q
-    d_term_drho = kappa * dq
     if not sign or e_r == 0.0:
-        # every exchange term carries e_r, so all vanish (distinguishable packets
-        # have none); b below need not be finite
-        return (pp, 3.0 / (8.0 * s2), 0.0, d_term, 0.0), d_term_drho, 1.0
-    g = math.exp(-z2 - s4 * pp)
+        # every exchange term carries e_r: all vanish (distinguishable packets have none)
+        return (pp, 3.0 / (8.0 * s2), 0.0, d_term, 0.0), kappa * dq, 1.0
+    x = 2.0 * s * math.sqrt(pp)
+    b = x * x
+    g = math.exp(-z2 - b)
     sg = sign * g
     den = 1.0 + sg
     if den <= _DEGENERATE_EPS:
         raise DegenerateState("averaged Hamiltonian undefined at N -> 1")
-
-    # F(x)/x and its derivative in x^2 at x = 2 s |p| from one dawson call,
-    # series filling in the removable singularity at x = 0.  From x = 100 on
-    # the derivative is the asymptotic series -1/(2y^2) - 1/(2y^3) - 9/(8y^4)
-    # - 15/(4y^5) in y = x^2, whose first dropped term is below 4e-15 relative:
-    # the direct formula cancels there (1e-12 relative at x = 100, 0.5 at 1e8).
-    x = 2.0 * s * math.sqrt(pp)
+    # phi(b) = F(x)/x and phi'(b) at x = 2 s |p| from one dawson call, series filling
+    # in x = 0; from x = 100 on phi' is -1/(2b^2) - 1/(2b^3) - 9/(8b^4) - 15/(4b^5),
+    # whose first dropped term is below 4e-15 relative, where the direct one cancels
     if x < 1e-3:
-        x2 = x * x
-        fr = 1.0 - 2.0 * x2 / 3.0 + 4.0 * x2 * x2 / 15.0 if x < 1e-4 else numerics.dawson(x) / x
-        fr_dx2 = -2.0 / 3.0 + 8.0 * x2 / 15.0 - 8.0 * x2 * x2 / 35.0
+        fr = 1.0 - 2.0 * b / 3.0 + 4.0 * b * b / 15.0 if x < 1e-4 else numerics.dawson(x) / x
+        fr_dx2 = -2.0 / 3.0 + 8.0 * b / 15.0 - 8.0 * b * b / 35.0
     else:
         f = numerics.dawson(x)
         fr = f / x
         if x < 100.0:
-            fr_dx2 = (x - 2.0 * x * x * f - f) / (2.0 * x ** 3)
+            fr_dx2 = (x - 2.0 * b * f - f) / (2.0 * x ** 3)
         else:
-            v = 1.0 / (x * x)
+            v = 1.0 / b
             fr_dx2 = -v * v * (0.5 + v * (0.5 + v * (1.125 + 3.75 * v)))
-    x_pref = kappa * e_r / sps
-    x_term = x_pref * fr
-
-    s16 = 16.0 * s2 * s2
-    b = rho / s16
-    parts = (pp, 3.0 / (8.0 * s2), -sg * (pp + b) / den, d_term,
-             sign * (x_term - g * d_term) / den) if terms else None
-
-    dg_drho = -g / s4
-    dg_dpp = -s4 * g
-    db_drho = 1.0 / s16
-    dx_drho = -x_term / s4
-    dx_dpp = x_pref * fr_dx2 * 4.0 * s2  # (a * 4) * s2, not a * s4: bits past overflow
-
-    num = pp - sg * b + d_term + sign * x_term
-    dnum_drho = -sign * (dg_drho * b + g * db_drho) + d_term_drho + sign * dx_drho
-    dnum_dpp = 1.0 - sign * dg_dpp * b + sign * dx_dpp
-
-    de_drho = (dnum_drho * den - num * sign * dg_drho) / (den * den)
-    de_dpp = (dnum_dpp * den - num * sign * dg_dpp) / (den * den)
+    # sg (a + m), m = 4s^2 (E - 3/8s^2), enters both gradients as wa + 4s wc: w = sg / den,
+    # wa = w (a + b), wc = w s (d_term + sign x_term); wa is 0 where g = 0 and b may be inf
+    xs = kappa * e_r / _SQRT_PI
+    xf = sign * xs * fr
+    w = sg / den
+    wa = w * (z2 + b) if g else 0.0
+    cs = kappa * (s * q)
+    wc = w * (cs + xf)
+    parts = (pp, 3.0 / (8.0 * s2), -wa / s4, d_term, (xf - sg * cs) / s / den) if terms else None
+    de_drho = (kappa * dq + ((wa - sg) / s4 + (wc - xf) / s) / s4) / den
+    de_dpp = (1.0 + wa + 4.0 * s * (wc + sign * xs * fr_dx2)) / den
     return parts, de_drho, de_dpp
 
 

@@ -3,8 +3,12 @@
 ``_core`` below is the kernel that called ``_erf_over_d`` and
 ``numerics.dawson_ratio``; the three functions are copied verbatim, except
 that ``_core`` calls this module's ``dawson_ratio`` and ``dawson_ratio``
-reads ``numerics.dawson``.  The tests hold ``meanfield._core`` to it float
-for float, and exception for exception.
+reads ``numerics.dawson``.  It formed 4s^2 and 16s^4 where ``meanfield._core``
+works in a = rho / 4s^2 and b = 4s^2 |p|^2.  The tests hold ``meanfield._core``
+to return finite floats wherever this kernel does (near contact for sign -1,
+the energy terms only) and to raise
+``DegenerateState`` wherever it does, and both kernels to the same bounds
+against mpmath.
 """
 
 import math

@@ -351,8 +351,8 @@ def test_offset_beyond_half_the_float_range_exits_2(tmp_path, capsys, monkeypatc
 def test_sweep_point_whose_squared_separation_overflows_is_quiet(tmp_path, capsys):
     # the p = 1e-150 pair recedes to |r| ~ 4e298: its |r|^2 is inf, as in
     # the stop rule's float sum, and no numpy warning is printed.  The
-    # p = 1e-160 point's width reaches 1.25e159 on the first step; the
-    # kernel's sigma_x^2 overflows there and its gradient is nan
+    # p = 1e-160 point's step, t_free / 400 = 2.5e158, lets the force at
+    # t = 0 move |p| to 1.25e156 in half a step, and |p|^2 overflows
     out = tmp_path / "x.csv"
     argv = ["sweep-traveltime", "--p-min", "1e-160", "--p-max", "1e-150", "--steps", "2"]
     assert run(argv + ["--output", str(out)]) == 0
@@ -436,6 +436,11 @@ _P_SQUARED = {"simulate": "E_total", "quadrupole": "Dxx"}
     # no exchange terms: the state stays finite, |p|^2 = 1e320 does not
     pytest.param(["--pz=-1e160", "--spin", "distinguishable"], "sigma=1", _P_SQUARED,
                  id="pz-1e160-distinguishable"),
+    # the exchange terms' gradient is finite at |p|^2 = inf as well (g = 0),
+    # on the head-on and the oblique start
+    *(pytest.param(["--pz=-1e160", *px, "--spin", spin], "sigma=1", _P_SQUARED,
+                   id=f"pz-1e160-{spin}{'-oblique' if px else ''}")
+      for spin in ("antiparallel", "parallel") for px in ([], ["--px", "0.01"])),
     # the separation 2 r0 = 1.6e308 is finite, the tensor's r0^2 is not
     pytest.param(["--r0", "8e307"], "sigma=1", _DXX, id="r0-8e307"),
 ])
@@ -450,8 +455,11 @@ def test_non_finite_table_fails_before_writing(tmp_path, capsys, command, flags,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spin", ["antiparallel", "parallel", "distinguishable"])
-@pytest.mark.parametrize("pz", ["-1e160", "-1e308"])
+# at -1e160 the exchange spins, like the distinguishable pair, step finitely
+# and only the output table overflows (test_non_finite_table_fails_before_writing)
+@pytest.mark.parametrize("pz, spin", [("-1e160", "distinguishable"), ("-1e308", "antiparallel"),
+                                      ("-1e308", "parallel"), ("-1e308", "distinguishable")],
+                         ids=lambda v: v)
 # the head-on start is stepped on (r_z, p_z) alone, the oblique one on six floats
 @pytest.mark.parametrize("px", [[], ["--px", "0.01"]], ids=["head-on", "oblique"])
 def test_non_finite_state_fails_before_writing(tmp_path, capsys, spin, pz, px):
@@ -462,7 +470,7 @@ def test_non_finite_state_fails_before_writing(tmp_path, capsys, spin, pz, px):
     assert len(err) == 1 and err[0].startswith("runtime failure:")
     # distinguishable packets have no exchange terms: at -1e160 the state
     # stays finite and only |p|^2 in the output table overflows
-    if spin != "distinguishable" or pz == "-1e308":
+    if pz == "-1e308":
         assert err[0] == "runtime failure: the RK4 step from t=0 produced a non-finite state"
     assert not out.exists()
 
@@ -484,6 +492,18 @@ def test_sweep_point_with_overflowing_classical_energy_is_an_error_row(tmp_path)
     assert out.read_text().splitlines()[1:] == [
         "1e+154,1e-153,1e-153,1e-153,passthrough",
         "2e+154,,,,error:E = p^2 + k/d0 overflows",
+    ]
+
+
+def test_sweep_point_with_overflowing_initial_separation_is_an_error_row(tmp_path):
+    # |2 r0| = 1.4e154 is finite, its square is not: the separation column is
+    # inf, and a return sample's time inf / inf was nan in a classical row
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-traveltime", "--r0", "7e153", "--p-min", "1e152", "--p-max", "1e152",
+            "--steps", "1"]
+    assert run(argv + ["--output", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "1e+152,,,,error:initial separation is not finite",
     ]
 
 

@@ -288,14 +288,16 @@ def test_head_on_axis_loop_matches_the_six_float_loop_bit_for_bit(symmetry, froz
 
 
 @pytest.mark.parametrize("symmetry, frozen, sigma, pz, r0, message", [
-    # |p|^2 = inf makes dE/d|p|^2 nan: the six-float x and y entries turn nan
-    (ExchangeSymmetry.SYMMETRIC, False, 1.0, -1e160, 5.0, "produced a non-finite state"),
+    # dr/dt = 2 dE/d|p|^2 p_z = -inf at p_z = -1e308
+    (ExchangeSymmetry.SYMMETRIC, False, 1.0, -1e308, 5.0, "produced a non-finite state"),
     # |r| = 2e-104 makes dE/drho = -inf; two stages on, the axis sees
-    # |r|^2 = inf, which returns before rho / (16 sigma^4), and the
-    # six-float loop nan, which reaches it with sigma^4 = 0
-    (ExchangeSymmetry.SYMMETRIC, True, 1.5e-154, -0.3, 1e-104,
+    # |r|^2 = inf and the six-float loop nan, and both take the kernel's
+    # point-charge exit
+    (ExchangeSymmetry.SYMMETRIC, True, 1.5e-154, -0.3, 1e-104, "produced a non-finite state"),
+    # the direct slope's 2 d^3 underflows to 0 at d = 1e-110: the kernel raises
+    (ExchangeSymmetry.SYMMETRIC, True, 1e-150, -0.3, 5e-111,
      "left the float range (ZeroDivisionError)"),
-], ids=["nan-gradient", "inf-gradient"])
+], ids=["inf-velocity", "inf-gradient", "zero-cube"])
 def test_a_failing_head_on_step_fails_as_the_six_float_loop(symmetry, frozen, sigma, pz,
                                                             r0, message):
     cfg = PairConfig(sigma, np.array([0.0, 0.0, r0]), np.array([0.0, 0.0, pz]), symmetry,
@@ -790,8 +792,8 @@ def test_integrate_step_budget(start):
 
 @pytest.mark.parametrize("start", list(_STARTS))
 def test_integrate_beyond_the_float_range_raises_non_finite(start):
-    # within the step budget; the width 5e293 at t = dt is finite, but the
-    # kernel's sigma_x^2 overflows and its gradient is nan on the first step
+    # within the step budget; the force at t = 0, acting for half a step,
+    # moves |r| and |p| to about 5e293 and 5e291, whose squares overflow
     with pytest.raises(NonFinite, match="^the RK4 step from t=0 produced a non-finite state$"):
         dynamics.integrate(start_state(start, p=0.5), 1e294, 1e300)
     # a tiny width spreads at sigma omega = 5e149: (omega t)^2 overflows

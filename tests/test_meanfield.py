@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -14,6 +14,7 @@ from coherentpair.errors import DegenerateState
 from coherentpair.meanfield import PhaseState, avg_hamiltonian, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 
+import kernel_census as kc
 import reference_kernel
 from test_numerics import central_gradient
 
@@ -118,12 +119,12 @@ def dawson_ratio_via_core(x):
     """F(x)/x and its derivative in x^2 (x >= 0), read back from ``_core``.
 
     At rho = 0 and sign +1 the exchange Coulomb term is (x_pref F(x)/x -
-    g d_term) / (1 + g), with g = exp(-x^2) and x = 2 s |p|.  At s = 2^153
-    and kappa = sqrt(pi) s the prefactor x_pref is exactly 1, and pp =
-    (x / 2s)^2 gives x back exactly; the derivative enters dE/dpp as
-    4 s^2 (F/x)' = 2^308 (F/x)', far above the kinetic 1.  Where g
-    underflows (x > 27) both values come back bit for bit; below, within
-    a few ulps of g.
+    g d_term) / (1 + g), with x_pref = kappa / (sqrt(pi) s), g = exp(-x^2)
+    and x = 2 s |p|.  At s = 2^153 and kappa = sqrt(pi) s, x_pref is
+    exactly 1, and pp = (x / 2s)^2 gives x back exactly; the derivative
+    enters dE/dpp as 4 s^2 (F/x)' = 2^308 (F/x)', far above the kinetic 1.
+    Where g underflows (x > 27) both values come back bit for bit; below,
+    within a few ulps of g.
     """
     s = 2.0 ** 153
     kappa = meanfield._SQRT_PI * s
@@ -168,60 +169,148 @@ def test_dawson_ratio_large_x_against_mpmath(x, bound):
     assert abs(ddx2 - ref_ddx2) <= bound * abs(ref_ddx2)
 
 
-def near(threshold):
-    """Floats within a few ulps, or within a part in 1e6, of ``threshold``."""
-    return (st.integers(-4, 4).map(lambda k: threshold * (1.0 + k * 2.0 ** -52))
-            | st.floats(threshold * (1.0 - 1e-6), threshold * (1.0 + 1e-6)))
-
-
-def log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
-
-
-# z2 = rho / 4 s^2 and x = 2 s |p| on both sides of every series switch of
-# the kernel, anywhere between, where e_r = exp(-z2) turns subnormal and
-# underflows to 0, far beyond, and past the float range (inf: rho / 4 s^2
-# overflows for a finite rho)
-Z2 = (near(1e-6) | near(1e-4) | log_uniform(1e-12, 1e3) | st.floats(700.0, 760.0)
-      | log_uniform(1e3, 1e300) | st.just(0.0) | st.just(math.inf))
-X = near(1e-4) | near(1e-3) | near(8.0) | near(100.0) | log_uniform(1e-12, 1e200) | st.just(0.0)
+# the outcome test draws from the kernel census's mixtures (a = rho / 4s^2,
+# x = 2 s |p|, s, kappa); the accuracy test from a finite box of the same kinds
+Z2, X, S, SIGNS, KAPPA = (mix[0] for mix in (kc.Z2, kc.X, kc.S, kc.SIGN, kc.KAPPA))
 
 
 def outcome(core, *args):
-    """The floats a kernel returns, by ``float.hex``, or the type of what it raises."""
+    """The floats a kernel returns, or the type of what it raises."""
     try:
         parts, de_drho, de_dpp = core(*args)
     except Exception as exc:  # the kernels must fail alike, whatever the failure
         return type(exc)
-    return [float.hex(v) for v in (*parts, de_drho, de_dpp)]
+    return (*parts, de_drho, de_dpp)
 
 
 @settings(max_examples=3000, deadline=None)
-@given(
-    z2=Z2,
-    x=X,
-    s=log_uniform(1e-150, 1e150),
-    sign=st.sampled_from([-1, 0, 1]),
-    float_sign=st.booleans(),
-    kappa=st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3) | log_uniform(1e-300, 1e300),
-)
-# x_pref (F/x)' times 4 overflows where times 4 s^2 would not: dE/dpp is -inf
-@example(z2=0.0, x=1e-5, s=1e-10, sign=1, float_sign=True, kappa=1.5e298)
-def test_core_is_the_kernel_it_replaced_bit_for_bit(z2, x, s, sign, float_sign, kappa):
-    rho = z2 * (4.0 * s * s)
-    if z2 == math.inf:
-        # 8 s^2 times the largest float: finite, with rho / 4 s^2 = inf, below s = 0.35
-        rho = min(sys.float_info.max, 8.0 * s * s * sys.float_info.max)
-    y = x / (2.0 * s)
-    pp = y * y
-    want = outcome(reference_kernel._core, rho, pp, s, sign, kappa)
+@given(z2=Z2, x=X, s=S, sign=SIGNS, float_sign=st.booleans(), kappa=KAPPA)
+# near contact (a + b = 1e-8), and dE/dpp near the float range: the kernel it
+# replaced returned 5.4e307, this one -inf, for 1.3e307; dE/drho is finite in both
+@example(z2=0.0, x=1e-4, s=1.3082543595320624e57, sign=-1, float_sign=True,
+         kappa=6.536227755448413e250)
+def test_core_fails_only_where_the_kernel_it_replaced_failed(z2, x, s, sign, float_sign, kappa):
+    """Where the former kernel returns finite floats, so does ``_core``; where it
+    finds the state degenerate, so does ``_core``.
+
+    For sign -1 the gradients of both kernels carry relative errors of order
+    eps / (a + b)^2 (ROADMAP item 14), so a gradient may round to inf where
+    4 eps / (a + b)^2 of the former kernel's value reaches past the float
+    range; everywhere else each returned float is held to be finite.
+    """
+    rho, pp, s, _, kappa = kc.kernel_args(z2, x, s, sign, kappa)
     args = (rho, pp, s, float(sign) if float_sign else sign, kappa)
-    assert outcome(meanfield._core, *args) == want
-    # without the energy terms, the same gradient
-    if isinstance(want, list):
+    want = outcome(reference_kernel._core, *args)
+    got = outcome(meanfield._core, *args)
+    if want is DegenerateState:
+        assert got is DegenerateState
+    elif not isinstance(want, type) and all(map(math.isfinite, want)):
+        assert not isinstance(got, type) and all(map(math.isfinite, got[:5]))
+        ab2 = (z2 + x * x) * (z2 + x * x)
+        for v, ref in zip(got[5:], want[5:]):
+            # |ref| (1 + 4 eps / (a + b)^2) > the largest float, without dividing by ab2
+            spread = abs(ref) * (ab2 + 4.0 * sys.float_info.epsilon) > sys.float_info.max * ab2
+            assert math.isfinite(v) or (sign == -1 and spread)
+    if not isinstance(got, type):
+        # without the energy terms, the same gradient
         parts, de_drho, de_dpp = meanfield._core(*args, False)
-        assert [float.hex(de_drho), float.hex(de_dpp)] == want[5:]
-        assert parts is None or [float.hex(v) for v in parts] == want[:5]
+        assert [float.hex(de_drho), float.hex(de_dpp)] == [float.hex(v) for v in got[5:]]
+        assert parts is None or [float.hex(v) for v in parts] == [float.hex(v) for v in got[:5]]
+
+
+@pytest.mark.parametrize("args, want", [
+    # 4s^2 overflows and g = 0: the gradient is finite at any width
+    ((100.0, 0.25, 7e153, 1, 1.0), [True] * 7),
+    # 16 s^4 underflows: the energy terms are finite, dE/drho ~ 1/s^4 is not
+    ((4e-200, 2.5e199, 1e-100, 1, 1.0), [True] * 5 + [False, True]),
+    # 4s^2 = inf, so a = b = 0: N^2 rounds to 1
+    ((100.0, 0.0, 7e153, -1, 1.0), DegenerateState),
+])
+def test_core_past_the_square_of_the_width(args, want):
+    got = outcome(meanfield._core, *args)
+    assert got is want if want is DegenerateState else list(map(math.isfinite, got)) == want
+
+
+def closed_form(mp, rho, pp, s, sign, kappa):
+    """The energy terms in mpmath, the Coulomb exchange term as its two parts.
+
+    erf(sqrt a) / sqrt a and F(sqrt b) / sqrt b are (2 / sqrt pi) 1F1(1/2;
+    3/2; -a) and 1F1(1; 3/2; -b), smooth through a = 0 and b = 0.
+    """
+    s4 = 4 * s * s
+    a, b = rho / s4, s4 * pp
+    g = mp.exp(-a - b)
+    den = 1 + sign * g
+    d_term = kappa / (mp.sqrt(mp.pi) * s) * mp.hyp1f1(0.5, 1.5, -a)
+    x_term = kappa * mp.exp(-a) / (mp.sqrt(mp.pi) * s) * mp.hyp1f1(1, 1.5, -b)
+    return (pp, 3 / (2 * s4), -sign * g * (a + b) / (s4 * den), d_term,
+            sign * x_term / den, -sign * g * d_term / den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    z2=kc.one_of(kc.near(1e-6), kc.near(1e-4), kc.log_uniform(1e-12, 1e3), kc.floats(700.0, 760.0),
+                 kc.just(0.0))[0],
+    x=kc.one_of(kc.near(1e-4), kc.near(1e-3), kc.near(8.0), kc.near(100.0),
+                kc.log_uniform(1e-12, 1e8), kc.just(0.0))[0],
+    s=kc.log_uniform(1e-6, 1e6)[0],
+    sign=SIGNS,
+    kappa=(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
+           | kc.log_uniform(1e-6, 1e6)[0]),
+)
+def test_core_against_mpmath_away_from_contact(z2, x, s, sign, kappa):
+    """Every term and both gradients against the closed form at 80 digits.
+
+    The gradients are central differences of each part at a step of 1e-30
+    of the variable's scale.  Each value is held relative to the sum of the
+    magnitudes of its parts, to bounds that the kernel it replaced meets as
+    well: 8 (1 + a + b) eps for the terms (exp(-a - b) carries (a + b) eps),
+    2e-11 for dE/drho (the erf slope cancels like eps / a from a = 1e-4 on)
+    and 1e-9 for dE/dpp (the Dawson slope cancels like eps / x^2 from x =
+    1e-3 on), measured at 3.8e-12 and 1.8e-10 over 12000 draws.  An error
+    below 1e-300 in the pair's units (1/s^2, 1/s^4 and 1), or below the
+    smallest subnormal, is what a subnormal exp(-a - b) leaves.
+    """
+    mp = pytest.importorskip("mpmath")
+    assume(not (sign == -1 and z2 + x * x < 0.5))  # item 14's near-contact region
+    args = kc.kernel_args(z2, x, s, sign, kappa)
+    rho, pp = args[:2]
+    with mp.workdps(80):
+        rho_m, pp_m, s_m, kappa_m = (mp.mpf(v) for v in (rho, pp, s, kappa))
+        s4 = 4 * s_m * s_m
+        parts = closed_form(mp, rho_m, pp_m, s_m, sign, kappa_m)
+        slopes = []
+        for h, at in ((max(rho_m, s4) * mp.mpf(10) ** -30, lambda e: (rho_m + e, pp_m)),
+                      (max(pp_m, 1 / s4) * mp.mpf(10) ** -30, lambda e: (rho_m, pp_m + e))):
+            up = closed_form(mp, *at(h), s_m, sign, kappa_m)
+            down = closed_form(mp, *at(-h), s_m, sign, kappa_m)
+            slopes.append([(u - d) / (2 * h) for u, d in zip(up, down)])
+        want = (*parts[:4], parts[4] + parts[5], sum(slopes[0]), sum(slopes[1]))
+        scale = (*map(abs, parts[:4]), abs(parts[4]) + abs(parts[5]),
+                 sum(map(abs, slopes[0])), sum(map(abs, slopes[1])))
+        units = (1 / s4,) * 5 + (1 / (s4 * s4), mp.mpf(1))
+        eps = sys.float_info.epsilon
+        bounds = (8 * (1 + z2 + x * x) * eps,) * 5 + (2e-11, 1e-9)
+        for core in (reference_kernel._core, meanfield._core):
+            parts_f, de_drho, de_dpp = core(*args)
+            for k, got in enumerate((*parts_f, de_drho, de_dpp)):
+                err = abs(mp.mpf(got) - want[k])
+                assert err <= bounds[k] * scale[k] + 1e-300 * units[k] + 2.0 ** -1074, (core, k)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("d_over_sigma", [0.0, 1.0, 2.0])
+def test_coulomb_exchange_falls_like_a_power_of_the_momentum(sign, sigma, d_over_sigma):
+    # F(x)/x = (1 + 1/(2b) + O(1/b^2)) / (2b) at b = x^2 = 4 sigma^2 p^2, and the
+    # overlap exp(-a - b) is gone from b = 100 on: the term is
+    # sign kappa exp(-d^2/4 sigma^2) / (8 sqrt(pi) sigma^3 p^2), not exp(-b)
+    d = d_over_sigma * sigma
+    for b in (100.0, 1e4, 1e8):
+        pp = b / (4.0 * sigma * sigma)
+        parts, _, _ = meanfield._core(d * d, pp, sigma, sign, 1.0)
+        law = math.exp(-d * d / (4.0 * sigma * sigma)) / (8.0 * SQRT_PI * sigma ** 3 * pp)
+        assert abs(sign * parts[4] / law - 1.0) <= 1.0 / b
 
 
 def test_coincident_coulomb_anchor():

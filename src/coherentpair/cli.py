@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, meanfield, observables, oracle
+from . import dynamics, meanfield, observables
 from .errors import CoherentPairError, NonFinite
 from .observables import Plane
 from .pairstate import ExchangeSymmetry, PairConfig
@@ -102,13 +102,13 @@ def _records(rows: np.ndarray, tails: np.ndarray) -> np.ndarray:
     lo = groups[g1 + 10_000 * (r == 0)] | groups[g2 + 10_000 * (g3 == 0)] << 32
     hi = groups[g3 + 10_000]
     c = styles[x]
-    after_lo = lo << 8 & shift[0, c]
-    after_hi = (hi << 8 | lo >> 56) & shift[1, c]
+    after_lo = lo << 8 & shift[0][c]
+    after_hi = (hi << 8 | lo >> 56) & shift[1][c]
     has_point = (after_lo | after_hi) != 0
     rec = np.empty((v.size, 3 + tails.shape[1]), np.uint64)
     rec[:, 0] = prefix[c + 17 * np.signbit(v)]
-    rec[:, 1] = ((lo | _ZEROS) & keep[0, c]) | after_lo | point[0, c] * has_point
-    rec[:, 2] = ((hi | _ZEROS) & keep[1, c]) | after_hi | point[1, c] * has_point
+    rec[:, 1] = ((lo | _ZEROS) & keep[0][c]) | after_lo | point[0][c] * has_point
+    rec[:, 2] = ((hi | _ZEROS) & keep[1][c]) | after_hi | point[1][c] * has_point
     rec.reshape(*rows.shape, -1)[:, :, 3:] = tails
     rec[:, 3] |= suffix[x]
     # the fallback text fills the prefix, body and suffix bytes, 8 + 16 + 5
@@ -307,6 +307,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import oracle  # imported here, so the other subcommands start without it
     results, ok = oracle.run_validation(args.seed_list)
     for report, passed in results:
         status = "PASS" if passed else "FAIL"

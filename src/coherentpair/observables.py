@@ -151,7 +151,8 @@ def density_grid(state: PhaseState, plane: Plane, extent: float, n: int) -> np.n
 
     Row-major n x n grid of cell centers with uniform spacing
     2 extent / n; rows vary the second plane coordinate, columns the
-    first (for "xz": columns are x, rows are z).
+    first (for "xz": columns are x, rows are z), which the density gets as
+    a (1, n) row and an (n, 1) column, with 0 on the normal axis.
     """
     if n < 16:
         raise ValueError("grid needs at least 16 cells per side")
@@ -159,11 +160,10 @@ def density_grid(state: PhaseState, plane: Plane, extent: float, n: int) -> np.n
         raise ValueError("extent must be positive")
     step = 2.0 * extent / n
     coords = -extent + step * (np.arange(n) + 0.5)
-    axis_map = {Plane.XZ: (0, 2), Plane.XY: (0, 1), Plane.YZ: (1, 2)}
-    a_col, a_row = axis_map[plane]
-    points = np.zeros((n, n, 3))
-    points[:, :, a_col] = coords[np.newaxis, :]
-    points[:, :, a_row] = coords[:, np.newaxis]
+    a_col, a_row = {Plane.XZ: (0, 2), Plane.XY: (0, 1), Plane.YZ: (1, 2)}[plane]
+    x = [0.0, 0.0, 0.0]
+    x[a_col] = coords[np.newaxis, :]
+    x[a_row] = coords[:, np.newaxis]
     return density_from_params(
-        points, 0.5 * state.r, state.p, state.width, state.config.symmetry.sign
+        x, 0.5 * state.r, state.p, state.width, state.config.symmetry.sign
     )

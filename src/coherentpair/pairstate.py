@@ -10,6 +10,7 @@ the exchange terms; the CLI selects it with ``--spin distinguishable``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -136,32 +137,33 @@ def density_from_params(x, c, p, s: float, sign: int) -> float | np.ndarray:
 
     Two Gaussians of width ``s`` at +/- c plus an interference Gaussian at
     the midpoint weighted by the overlap; normalized so the integral is 2.
-    ``x`` is one point of shape (3,), giving a float, or an array of points
-    of shape (..., 3), giving an array of shape ``x.shape[:-1]``.
+    ``x`` is the coordinates (x0, x1, x2), floats or arrays that broadcast
+    together (a point of shape (3,), points of shape (3, ...), or a plane's
+    (1, n) row, (n, 1) column and scalar), giving a float or their shape.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (3,):
-        raise ValueError("points must have shape (..., 3)")
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-    c0, c1, c2 = np.asarray(c, dtype=float).reshape(3).tolist()
-    p0, p1, p2 = np.asarray(p, dtype=float).reshape(3).tolist()
-    s2 = s * s
+    c = np.asarray(c, dtype=float).reshape(3).tolist()
+    p = np.asarray(p, dtype=float).reshape(3).tolist()
+    w = 2.0 * s * s
     try:
-        norm = (2.0 * math.pi * s2) ** -1.5
+        norm = (math.pi * w) ** -1.5
     except OverflowError:
         raise NonFinite(f"the density normalization overflows at sigma_x = {s:.12g}") from None
-    # one expression per Gaussian lets numpy reuse its temporaries in place;
-    # a point and its mirror image swap the two lobes exactly
-    g = np.exp(-((x0 - c0) ** 2 + (x1 - c1) ** 2 + (x2 - c2) ** 2) / (2.0 * s2))
-    g += np.exp(-((x0 + c0) ** 2 + (x1 + c1) ** 2 + (x2 + c2) ** 2) / (2.0 * s2))
+    # every term is a product of one-axis factors, smallest axis first, so a
+    # grid takes exponentials on its row and column only; a point and its
+    # mirror image swap the lobes, and conjugate the exchange factors, exactly
+    axes = sorted(zip(x, c, p), key=lambda axis: np.size(axis[0]))
+    out = functools.reduce(np.multiply, [np.exp(-(xa - ca) ** 2 / w) for xa, ca, _ in axes])
+    out += functools.reduce(np.multiply, [np.exp(-(xa + ca) ** 2 / w) for xa, ca, _ in axes])
     den = 1.0
     if sign != 0:
-        cc = c0 * c0 + c1 * c1 + c2 * c2
-        n = overlap_from_params(cc, p0 * p0 + p1 * p1 + p2 * p2, s)
+        cc = sum(ca * ca for ca in c)
+        n = overlap_from_params(cc, sum(pa * pa for pa in p), s)
         den = 1.0 + sign * n * n
         if den <= _DEGENERATE_EPS:
             raise DegenerateState("antisymmetric pair state with overlap N -> 1")
-        cross = 2.0 * n * np.exp(-(x0 ** 2 + x1 ** 2 + x2 ** 2 + cc) / (2.0 * s2))
-        g += sign * cross * np.cos(2.0 * (p0 * x0 + p1 * x1 + p2 * x2))
-    out = norm * g / den
+        # the interference Gaussian times cos(2 p.x), the real part of its phases
+        phases = [np.exp(-xa * xa / w + 2j * (pa * xa)) for xa, _, pa in axes]
+        out += functools.reduce(np.multiply, phases, sign * 2.0 * n * math.exp(-cc / w)).real
+    out *= norm
+    out /= den
     return float(out) if np.ndim(out) == 0 else out

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import coherentpair
-from coherentpair import cli, dynamics, observables
+from coherentpair import cli, dynamics, observables, pairstate
 
 
 def run(args):
@@ -366,17 +366,26 @@ def test_sweep_point_whose_squared_separation_overflows_is_quiet(tmp_path, capsy
 
 def test_density_grid_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     # numpy raises a MemoryError subclass for a grid it cannot allocate; the
-    # allocation is faked, since a real attempt on a host that overcommits
-    # memory may run out of it instead of failing
-    zeros = np.zeros
-    message = "Unable to allocate 21.8 TiB for an array with shape (1000000, 1000000, 3)"
+    # first n x n product of the per-axis factors is faked, since a real
+    # attempt on a host that overcommits memory may run out of it instead
+    # of failing
+    exp = np.exp
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
 
-    def fake_zeros(shape, *args, **kwargs):
-        if shape == (1000000, 1000000, 3):
-            raise MemoryError(message)
-        return zeros(shape, *args, **kwargs)
+    class Factor(np.ndarray):
+        """A one-axis factor whose n x n products cannot be allocated."""
 
-    monkeypatch.setattr(observables.np, "zeros", fake_zeros)
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if np.broadcast_shapes(*map(np.shape, inputs)) == (1000000, 1000000):
+                raise MemoryError(message)
+            plain = [x.view(np.ndarray) if isinstance(x, Factor) else x for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    def fake_exp(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        return out.view(Factor) if np.size(out) == 1000000 else out
+
+    monkeypatch.setattr(pairstate.np, "exp", fake_exp)
     out = tmp_path / "x.out"
     assert run(["density", "--n", "1000000", "--times", "1", "--output", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"invalid configuration: {message}"]

@@ -65,6 +65,8 @@ def test_dawson_against_mpmath():
         [math.nextafter(m, 0.0) for m in switches],
         [math.nextafter(m, math.inf) for m in switches],
         [8.0, math.nextafter(8.0, math.inf)],
+        np.geomspace(40.0, 1e6, 301),  # the asymptotic series' own range
+        [1.3e154, 1.34e154, 1.35e154, 1e200],  # x^2 overflows from about 1.34e154
     ]))
     worst = 0.0
     for x in xs.tolist():

@@ -364,7 +364,8 @@ def test_density_grid_matches_per_cell_loop(plane, symmetry, frozen):
     state = PhaseState(np.array([0.7, -0.4, 1.9]), np.array([0.3, 0.2, -0.5]), 6.0, cfg)
     # exactly antisymmetric cell centres come only with some even n
     antisymmetric_cases = 0
-    for extent, n in ((6.0, 24), (4.0, 32), (7.3, 17), (3.1, 16), (0.7, 33)):
+    # at extent 40 a frozen packet's one-axis factors underflow to 0
+    for extent, n in ((6.0, 24), (4.0, 32), (7.3, 17), (3.1, 16), (0.7, 33), (40.0, 32)):
         grid = density_grid(state, plane, extent, n)
         ref = density_grid_per_cell(state, plane, extent, n)
         assert grid.shape == (n, n)
@@ -379,7 +380,7 @@ def test_density_grid_matches_per_cell_loop(plane, symmetry, frozen):
 def test_density_from_params_point_and_batch_agree(sign):
     points = np.random.default_rng(5).uniform(-6.0, 6.0, size=(5, 7, 3))
     c, p, s = np.array([0.4, -0.2, 1.5]), np.array([0.3, 0.1, -0.6]), 1.3
-    batch = density_from_params(points, c, p, s, sign)
+    batch = density_from_params(np.moveaxis(points, -1, 0), c, p, s, sign)
     assert batch.shape == (5, 7)
     for idx in np.ndindex(5, 7):
         one = density_from_params(points[idx], c, p, s, sign)
@@ -407,7 +408,9 @@ def test_density_grid_makes_one_density_call(monkeypatch):
     state = state_with([0.0, 0.0, 4.0], [0.0, 0.0, -0.3])
     grid = density_grid(state, Plane.XY, extent=6.0, n=40)
     assert len(calls) == 1
-    assert calls[0][0].shape == (40, 40, 3)
+    # the xy plane: x as a row, y as a column, 0 on the normal axis
+    x, y, z = calls[0][0]
+    assert np.shape(x) == (1, 40) and np.shape(y) == (40, 1) and z == 0.0
     assert grid.shape == (40, 40)
 
 

@@ -31,8 +31,7 @@ from .pairstate import PairConfig, overlap_from_params
 # fails before stepping on horizons that would never finish
 MAX_STEPS = 10_000_000
 
-# regime thresholds of ``classify``, in units of the culmination width sigma
-PASSTHROUGH_FRACTION = 0.1
+# d(t) / sigma_x(t) below which ``classify`` reads a run without a return FROZEN
 FROZEN_RATIO = 1.0
 
 
@@ -98,17 +97,21 @@ def _squares(v: np.ndarray) -> np.ndarray:
 class TraveltimeResult:
     """``t_return`` is the time of the first return to the initial
     separation, None if the run never returns; ``d_min`` is the smallest
-    separation up to that sample, or over the whole run."""
+    separation up to that sample, or over the whole run; ``crossed`` is
+    r . r(0) < 0 there (False without a return): an odd number of head-on
+    crossings but not an even one, or an oblique deflection past 90 degrees."""
 
     t_return: float | None
     d_min: float
+    crossed: bool = False
 
 
 class Regime(enum.Enum):
     """Qualitative impact type of one trajectory.
 
-    NO_RETURN covers horizons where the pair has not yet returned but the
-    separation-to-width criterion for the frozen regime is not met.
+    A return is PASS_THROUGH when ``TraveltimeResult.crossed``, oblique
+    deflections past 90 degrees included, else CLASSICAL_LIKE, even numbers
+    of crossings included.  NO_RETURN is neither a return nor FROZEN.
     """
 
     CLASSICAL_LIKE = "classical"
@@ -276,7 +279,8 @@ def traveltime(traj: Trajectory) -> TraveltimeResult:
             prev, dk = float(d[k - 1]), float(d[k])
             frac = (d_init - prev) / (dk - prev)
             t_ret = float(traj.t[k - 1]) + frac * (float(traj.t[k]) - float(traj.t[k - 1]))
-            return TraveltimeResult(t_ret, float(d[:k + 1].min()))
+            kx, ky, kz = traj.r[k].tolist()
+            return TraveltimeResult(t_ret, float(d[:k + 1].min()), kx * rx + ky * ry + kz * rz < 0.0)
     return TraveltimeResult(None, float(d.min()))
 
 
@@ -343,21 +347,18 @@ def classical_traveltime(d0: float, v0: float, coupling: float = 1.0) -> float:
 def classify(traj: Trajectory, result: TraveltimeResult) -> Regime:
     """Impact regime of a finished trajectory.
 
-    Return with a deep minimum (d_min < PASSTHROUGH_FRACTION * sigma) is a
-    pass-through, any other return is a classical-like reflection.  Without
-    a return the trajectory is frozen when d(t)/sigma_x(t) stays below
-    FROZEN_RATIO over the final quarter, otherwise NO_RETURN.
+    A return with ``result.crossed`` (r . r(0) < 0 at the return sample)
+    is a pass-through, any other a classical-like reflection: an even
+    number of crossings reads CLASSICAL_LIKE, an oblique deflection past
+    90 degrees PASS_THROUGH.  Without a return the trajectory is frozen
+    when d(t)/sigma_x(t) stays below FROZEN_RATIO over the final quarter,
+    otherwise NO_RETURN.
     """
     if result.t_return is not None:
-        if result.d_min < PASSTHROUGH_FRACTION * traj.config.sigma:
-            return Regime.PASS_THROUGH
-        return Regime.CLASSICAL_LIKE
-    d = traj.separation
-    start = (3 * d.size) // 4
-    ratio = d[start:] / traj.width[start:]
-    if float(np.max(ratio)) < FROZEN_RATIO:
-        return Regime.FROZEN
-    return Regime.NO_RETURN
+        return Regime.PASS_THROUGH if result.crossed else Regime.CLASSICAL_LIKE
+    start = (3 * traj.t.size) // 4
+    ratio = traj.separation[start:] / traj.width[start:]
+    return Regime.FROZEN if float(np.max(ratio)) < FROZEN_RATIO else Regime.NO_RETURN
 
 
 @dataclass(frozen=True)
@@ -393,8 +394,7 @@ def _sweep_point(
         step = dt if dt is not None else t_free / 400.0
         traj = integrate(meanfield.initial_state(config), step, horizon_t, stop_at_return=True)
         result = traveltime(traj)
-        regime = classify(traj, result)
-        return SweepRecord(p_val, result.t_return, t_cl, t_free, regime, result.d_min)
+        return SweepRecord(p_val, result.t_return, t_cl, t_free, classify(traj, result), result.d_min)
     except (CoherentPairError, ValueError) as exc:
         return SweepRecord(p_val, None, math.nan, math.nan, None, None, str(exc))
 

@@ -364,6 +364,25 @@ def test_sweep_point_whose_squared_separation_overflows_is_quiet(tmp_path, capsy
     )
 
 
+@pytest.mark.parametrize("args, rows", [
+    # r_z changes sign in every row, with the closest samples 0.11-0.20 sigma apart
+    (["--sigma", "1", "--r0", "40", "--spin", "antiparallel",
+      "--p-min", "1", "--p-max", "3", "--steps", "3"],
+     ["1,80.7821319132,81.8463140146,80,passthrough",
+      "2,40.1451500249,40.3205620338,40,passthrough",
+      "3,26.7172846621,26.7768971484,26.6666666667,passthrough"]),
+    # near-free packets whose width outgrows their separation in one step
+    (["--sigma", "1e-150", "--r0", "5", "--p-min", "0.1", "--p-max", "0.3", "--steps", "3"],
+     ["0.1,100.418410042,17.6204252414,100,passthrough",
+      "0.2,50.0521376434,25.6721001234,50,passthrough",
+      "0.3,33.3487725799,25.9878214047,33.3333333333,passthrough"]),
+], ids=["r0-40", "tiny-sigma"])
+def test_sweep_rows_whose_packets_cross_read_passthrough(tmp_path, args, rows):
+    out = tmp_path / "x.csv"
+    assert run(["sweep-traveltime", *args, "--output", str(out)]) == 0
+    assert out.read_text().splitlines() == [cli.SWEEP_HEADER, *rows]
+
+
 def test_density_grid_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     # numpy raises a MemoryError subclass for a grid it cannot allocate; the
     # first n x n product of the per-axis factors is faked, since a real

@@ -384,14 +384,17 @@ def traveltime_loop(traj):
     return None, d_min
 
 
+def hand_path(r):
+    """A hand-made trajectory through the positions ``r``, moving inward along z."""
+    r = np.array(r, dtype=float)
+    p = np.zeros_like(r)
+    p[0, 2] = -1.0
+    return dynamics.Trajectory(make_config(), 0.1 * np.arange(len(r)), r, p, [])
+
+
 def separation_path(d):
     """A hand-made trajectory along z whose separation is ``d``, moving inward."""
-    d = np.asarray(d, dtype=float)
-    r = np.zeros((d.size, 3))
-    r[:, 2] = d
-    p = np.zeros((d.size, 3))
-    p[0, 2] = -1.0
-    return dynamics.Trajectory(make_config(), 0.1 * np.arange(d.size), r, p, [])
+    return hand_path([[0.0, 0.0, dk] for dk in d])
 
 
 @pytest.mark.parametrize("stop", [False, True], ids=["full", "stop"])
@@ -445,6 +448,22 @@ def test_traveltime_matches_the_per_sample_loop_on_hand_made_paths(d):
     traj = separation_path(d)
     res = dynamics.traveltime(traj)
     assert (res.t_return, res.d_min) == traveltime_loop(traj)
+
+
+@pytest.mark.parametrize("r, regime", [
+    ([[0, 0, 2.0], [0, 0, 0.5], [0, 0, -1.0], [0, 0, -2.5]], Regime.PASS_THROUGH),
+    ([[0, 0, 2.0], [0, 0, 0.5], [0, 0, -1.0], [0, 0, 0.5], [0, 0, 2.5]], Regime.CLASSICAL_LIKE),
+    ([[0, 0, 2.0], [0.3, 0, 0.4], [2.0, 0, -0.5]], Regime.PASS_THROUGH),
+    ([[0, 0, 2.0], [0.3, 0, 0.4], [2.0, 0, 0.5]], Regime.CLASSICAL_LIKE),
+], ids=["crosses-once", "crosses-twice", "oblique-past-90", "oblique-below-90"])
+def test_classify_reads_the_sign_of_r_dot_r0_at_the_return(r, regime):
+    # a head-on pair that crosses back before it returns reads classical;
+    # an oblique one deflected past 90 degrees reads passthrough
+    traj = hand_path(r)
+    res = dynamics.traveltime(traj)
+    assert res.t_return is not None and res.d_min == 0.5
+    assert res.crossed is (regime is Regime.PASS_THROUGH)
+    assert dynamics.classify(traj, res) is regime
 
 
 def test_free_traveltime():
@@ -682,6 +701,21 @@ def test_classify_classical_reflection():
     # quantitative classical limit lives in the acceptance suite
     t_cl = dynamics.classical_traveltime(10.0, 0.7, 1.0)
     assert abs(res.t_return / t_cl - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_passthrough_label_does_not_depend_on_the_step(p):
+    # the sampled d_min is 0.16, 0.20 and 0.11 sigma at t_free/400 and
+    # 0.037, 0.002 and 0.092 sigma at t_free/800: a threshold of 0.1 sigma
+    # on it read these crossings classical at the coarser step
+    cfg = make_config(p=p, d0=80.0)
+    t_free = dynamics.free_traveltime(80.0, 2.0 * p)
+    for n in (400, 800, 1600):
+        traj = dynamics.integrate(initial_state(cfg), t_free / n, 3.0 * t_free,
+                                  stop_at_return=True)
+        res = dynamics.traveltime(traj)
+        assert res.t_return is not None and res.crossed, (p, n)
+        assert dynamics.classify(traj, res) is Regime.PASS_THROUGH, (p, n)
 
 
 def test_classify_frozen_window():

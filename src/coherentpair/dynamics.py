@@ -31,9 +31,6 @@ from .pairstate import PairConfig, overlap_from_params
 # fails before stepping on horizons that would never finish
 MAX_STEPS = 10_000_000
 
-# d(t) / sigma_x(t) below which ``classify`` reads a run without a return FROZEN
-FROZEN_RATIO = 1.0
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -111,7 +108,9 @@ class Regime(enum.Enum):
 
     A return is PASS_THROUGH when ``TraveltimeResult.crossed``, oblique
     deflections past 90 degrees included, else CLASSICAL_LIKE, even numbers
-    of crossings included.  NO_RETURN is neither a return nor FROZEN.
+    of crossings included.  A run without a return is FROZEN when its last
+    sample's separation is below the packet width there, else NO_RETURN;
+    both depend on the horizon.
     """
 
     CLASSICAL_LIKE = "classical"
@@ -350,15 +349,13 @@ def classify(traj: Trajectory, result: TraveltimeResult) -> Regime:
     A return with ``result.crossed`` (r . r(0) < 0 at the return sample)
     is a pass-through, any other a classical-like reflection: an even
     number of crossings reads CLASSICAL_LIKE, an oblique deflection past
-    90 degrees PASS_THROUGH.  Without a return the trajectory is frozen
-    when d(t)/sigma_x(t) stays below FROZEN_RATIO over the final quarter,
-    otherwise NO_RETURN.
+    90 degrees PASS_THROUGH.  Without a return the trajectory is FROZEN
+    when d < sigma_x at its last sample, otherwise NO_RETURN.
     """
     if result.t_return is not None:
         return Regime.PASS_THROUGH if result.crossed else Regime.CLASSICAL_LIKE
-    start = (3 * traj.t.size) // 4
-    ratio = traj.separation[start:] / traj.width[start:]
-    return Regime.FROZEN if float(np.max(ratio)) < FROZEN_RATIO else Regime.NO_RETURN
+    frozen = traj.separation[-1] < traj.config.width(float(traj.t[-1]))
+    return Regime.FROZEN if frozen else Regime.NO_RETURN
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ that the formulas stay valid along a whole trajectory.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,6 @@ import numpy as np
 from .errors import DegenerateState, PreconditionViolated
 from .meanfield import PhaseState
 from .pairstate import _DEGENERATE_EPS, density_from_params, overlap_from_params
-
-# share of the leading samples ``detect`` treats as the collision transient
-TRANSIENT_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,11 @@ class SeriesKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SeriesVerdict:
-    """Qualitative shape of a quadrupole time series."""
+    """Qualitative shape of a quadrupole time series.
+
+    ``extrema_count`` is the number of turning points of d_zz over the
+    whole series, the first sample to the last.
+    """
 
     kind: SeriesKind
     extrema_count: int
@@ -107,24 +107,21 @@ def quadrupole_timeseries(traj) -> QuadrupoleTensor:
 def detect(series: QuadrupoleTensor) -> SeriesVerdict:
     """Classify the d_zz(t) of an array-valued tensor by counting extrema.
 
-    The first :data:`TRANSIENT_FRACTION` of the samples is discarded; an
-    extremum counts only if the excursion on both sides exceeds the noise
-    guard 1e-9 * max|d_zz|.  A single residual extremum is treated as part
-    of the transient, so only two or more yield OSCILLATORY.
+    Every sample counts, however long the run: an extremum counts only if
+    the excursion on both sides exceeds the noise guard 1e-9 * max|d_zz|.
+    A head-on collision turns d_zz once, at the closest approach, so only
+    two or more extrema yield OSCILLATORY.
     """
     dzz = np.asarray(series.d_zz, dtype=float)
     if dzz.size == 0:
         raise ValueError("empty series")
-    start = int(math.ceil(TRANSIENT_FRACTION * dzz.size))
-    kept = dzz[start:] if dzz.size - start >= 2 else dzz
-    scale = float(np.max(np.abs(kept))) if kept.size else 0.0
-    eps = 1e-9 * max(scale, 1e-300)
-    if float(np.max(kept) - np.min(kept)) <= eps:
+    eps = 1e-9 * max(float(np.max(np.abs(dzz))), 1e-300)
+    if float(np.max(dzz) - np.min(dzz)) <= eps:
         return SeriesVerdict(SeriesKind.CONSTANT, 0)
     extrema = 0
     direction = 0
-    anchor = kept[0]
-    for v in kept[1:]:
+    anchor = dzz[0]
+    for v in dzz[1:]:
         move = v - anchor
         if abs(move) <= eps:
             continue

@@ -247,6 +247,16 @@ def test_quadrupole_verdict_on_last_row(tmp_path):
     assert body[-1].split(",")[-1] == "monotone"
 
 
+@pytest.mark.parametrize("t_max", ["200", "1600"])
+def test_quadrupole_verdict_does_not_depend_on_the_horizon(tmp_path, t_max):
+    # the stalled pair turns d_zz three times before t = 200; a verdict that
+    # dropped the first tenth of a run lost those turns at t_max = 1600
+    out = tmp_path / "q.csv"
+    assert run(["quadrupole", "--sigma", "1", "--r0", "5", "--pz", "-0.2", "--dt", "0.1",
+                "--t-max", t_max, "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].split(",")[-1] == "oscillatory"
+
+
 def test_density_file_layout(tmp_path):
     out = tmp_path / "grid.txt"
     code = run([

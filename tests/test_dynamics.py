@@ -466,6 +466,20 @@ def test_classify_reads_the_sign_of_r_dot_r0_at_the_return(r, regime):
     assert dynamics.classify(traj, res) is regime
 
 
+@pytest.mark.parametrize("d, regime", [
+    ([2.0, 1.5, 1.2, 1.1, 1.1, 1.2, 1.2, 0.8], Regime.FROZEN),
+    ([2.0, 1.5, 1.2, 1.1, 1.1, 1.2, 0.8, 1.2], Regime.NO_RETURN),
+], ids=["below-at-the-end", "above-at-the-end"])
+def test_classify_reads_a_run_without_a_return_at_its_last_sample(d, regime):
+    # the width grows from 1.044 to 1.060 over the last two samples, and
+    # only the last sample's separation decides
+    traj = separation_path(d)
+    res = dynamics.traveltime(traj)
+    assert res.t_return is None
+    assert bool(traj.separation[-1] < traj.width[-1]) is (regime is Regime.FROZEN)
+    assert dynamics.classify(traj, res) is regime
+
+
 def test_free_traveltime():
     assert dynamics.free_traveltime(1.0, 1.0) == 2.0
     assert dynamics.free_traveltime(3.0, 1.0) == 3.0 * dynamics.free_traveltime(1.0, 1.0)

@@ -289,6 +289,35 @@ def test_detect_empty_series_raises():
         detect(observables.QuadrupoleTensor(empty, empty, empty, empty))
 
 
+@pytest.mark.parametrize("dzz, kind, count", [
+    ([1.0], SeriesKind.CONSTANT, 0),
+    ([0.0, 1.0], SeriesKind.MONOTONE_AFTER_TRANSIENT, 0),
+    ([0.0, 1.0, 0.0], SeriesKind.MONOTONE_AFTER_TRANSIENT, 1),
+], ids=["one-sample", "two-rising", "one-turn"])
+def test_detect_short_series(dzz, kind, count):
+    dzz = np.array(dzz)
+    verdict = detect(QuadrupoleTensor(-dzz / 2, -dzz / 2, dzz, np.zeros_like(dzz)))
+    assert (verdict.kind, verdict.extrema_count) == (kind, count)
+
+
+@pytest.mark.parametrize("pz", [0.14, 0.2])
+@pytest.mark.parametrize("symmetry", [ExchangeSymmetry.SYMMETRIC, ExchangeSymmetry.ANTISYMMETRIC],
+                         ids=lambda sym: sym.value)
+def test_detect_count_never_falls_as_the_run_grows(symmetry, pz):
+    # a longer run only appends samples, so a count over the whole series
+    # cannot fall with the horizon; one that dropped the first tenth of the
+    # samples read 2, 1, 0, 0 for the symmetric pair at |p_z| = 0.2
+    cfg = PairConfig(1.0, np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -pz]), symmetry)
+    series = quadrupole_timeseries(dynamics.integrate(initial_state(cfg), 0.1, 1600.0))
+    counts = []
+    for t_max in (200.0, 400.0, 800.0, 1600.0):
+        k = round(t_max / 0.1) + 1
+        prefix = QuadrupoleTensor(series.d_xx[:k], series.d_yy[:k], series.d_zz[:k],
+                                  series.d_xz[:k])
+        counts.append(detect(prefix).extrema_count)
+    assert counts == sorted(counts) and counts[0] >= 2, counts
+
+
 def test_timeseries_typical_vs_frozen():
     typical_cfg = PairConfig(1.0, np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -0.5]))
     traj = dynamics.integrate(initial_state(typical_cfg), 0.05, 130.0)

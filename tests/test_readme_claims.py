@@ -7,11 +7,17 @@ longer gives is fixed in the README, never by widening a comparison.
 """
 
 import csv
+import math
 import re
 import shlex
 from pathlib import Path
 
-from coherentpair import cli
+import numpy as np
+from scipy.integrate import quad
+
+from coherentpair import cli, dynamics, observables
+from coherentpair.meanfield import PhaseState, avg_hamiltonian
+from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 from test_cli import readme_commands
 
 # the README as one line, so that a pattern does not depend on where the text wraps
@@ -84,3 +90,111 @@ def test_frozen_window_returns_at_the_quoted_multiples_with_a_longer_horizon(tmp
     assert f"{max(ratios):.{decimals(ratio_hi)}f}" == ratio_hi
     assert [row["regime"] == "passthrough" for row in longer] == [
         float(row["p"]) >= float(first) for row in longer]
+
+
+def listed(text):
+    """The items of a README list such as ``1, 2, 4 and 8``."""
+    return re.split(r", | and ", text)
+
+
+def rounds_to(value, number):
+    """Whether ``value`` rounds to the README's ``number`` at the digits it prints."""
+    digits = len(re.sub(r"e.*|\.", "", number).lstrip("0"))
+    return float(f"{value:.{digits - 1}e}") == float(number)
+
+
+def test_exchange_terms_at_contact_take_the_quoted_values():
+    sigma_k, d, coulomb, momenta, kinetic, p_kinetic = claim(
+        r"at `sigma = k = (\S+)`, `d = (\S+)`, anti-parallel: ([\d.e\-, ]+ and \S+) at "
+        r"p = ([\d, ]+ and \d+), while the kinetic one is (\S+) at p = (\d+)\)")
+    config = PairConfig(float(sigma_k), np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, -1.0]),
+                        ExchangeSymmetry.SYMMETRIC, float(sigma_k))
+
+    def terms(p):
+        state = PhaseState(np.array([0.0, 0.0, float(d)]), np.array([0.0, 0.0, float(p)]),
+                           0.0, config)
+        return avg_hamiltonian(state)
+
+    for value, p in zip(listed(coulomb), listed(momenta), strict=True):
+        assert rounds_to(terms(p).coulomb_exchange, value), (p, value)
+    # the README quotes the kinetic term's size; the term itself is negative
+    assert terms(p_kinetic).kinetic_exchange < 0.0
+    assert rounds_to(-terms(p_kinetic).kinetic_exchange, kinetic)
+
+
+def test_delay_law_constant_and_the_sweep_errors_take_the_quoted_values():
+    sigma, d0, k, c_text, errors, momenta, lo, hi = claim(
+        r"At `sigma = (\S+)`, `d0 = (\S+)`, `k = (\S+)`, `C = ([\d.]+)`, and a default-step "
+        r"sweep of the anti-parallel pair is off by ([\d.e\-, ]+ and \S+) at "
+        r"p = ([\d, ]+ and \d+): ([\d.]+)-([\d.]+) times less per doubling of p")
+    sigma, d0, k = float(sigma), float(d0), float(k)
+
+    def potential(d):
+        return k * math.erf(d / (2.0 * sigma)) / d
+
+    # V(d) - V(d0) has the finite limit k / (sqrt(pi) sigma) - V(d0) at d = 0
+    area, _ = quad(lambda d: potential(d) - potential(d0), 0.0, d0, epsabs=1e-13, epsrel=1e-13)
+    c = area / (2.0 * d0)
+    assert rounds_to(c, c_text)
+    config = PairConfig(sigma, np.array([0.0, 0.0, d0 / 2.0]), np.array([0.0, 0.0, -1.0]),
+                        ExchangeSymmetry.SYMMETRIC, k)
+    records = dynamics.sweep_traveltime(config, [float(p) for p in listed(momenta)])
+    off = [abs(rec.p ** 2 * (rec.t_coherent / rec.t_free - 1.0) - c) for rec in records]
+    for value, text in zip(off, listed(errors), strict=True):
+        assert rounds_to(value, text), (value, text)
+    shrink = [a / b for a, b in zip(off, off[1:])]
+    assert f"{min(shrink):.1f}" == lo and f"{max(shrink):.1f}" == hi
+
+
+def test_density_files_hold_the_distinct_times_in_increasing_order(tmp_path):
+    times, first, t_first, second, t_second = claim(
+        r"`--times ([\d ]+)` writes `(\S+)` \(t = (\S+)\) and `(\S+)` \(t = (\S+)\)")
+    common = ["density", "--n", "16"]
+    out = tmp_path / "name.txt"
+    assert cli.main(common + ["--times", *times.split(), "--output", str(out)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [first, second]
+    for name, t in ((first, t_first), (second, t_second)):
+        alone = tmp_path / "alone" / f"{t}.txt"
+        alone.parent.mkdir(exist_ok=True)
+        assert cli.main(common + ["--times", t, "--output", str(alone)]) == 0
+        assert (tmp_path / name).read_text() == alone.read_text()
+        assert alone.read_text().startswith(f"# t={t} ")
+
+
+def test_density_grid_is_the_sample_nearest_the_requested_time(tmp_path):
+    t, dt, nearest = claim(r"`--times (\S+) --dt (\S+)` writes the t = (\S+) grid")
+    common = ["density", "--n", "16", "--dt", dt]
+    asked, sample = tmp_path / "asked.txt", tmp_path / "sample.txt"
+    assert cli.main(common + ["--times", t, "--output", str(asked)]) == 0
+    assert cli.main(common + ["--times", nearest, "--output", str(sample)]) == 0
+    header, *grid = asked.read_text().splitlines()
+    assert header.startswith(f"# t={t} ")
+    assert grid == sample.read_text().splitlines()[1:]
+
+
+def test_a_run_ends_after_round_t_max_over_dt_steps(tmp_path):
+    t_max, dt, steps, t_end = claim(
+        r"`--t-max (\S+) --dt (\S+)` takes (\w+) step and ends at t = (\S+)\.")
+    assert round(float(t_max) / float(dt)) == {"one": 1}[steps]
+    for command in ("simulate", "quadrupole"):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--t-max", t_max, "--dt", dt, "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2 and rows[-1].split(",")[0] == t_end, command
+
+
+def test_quadrupole_verdict_holds_at_both_quoted_horizons(tmp_path):
+    args, turns, verdict, short, long = claim(
+        r"`quadrupole ([^`]+)` turns (\w+) times and reads `(\w+)` at `--t-max (\S+)` "
+        r"and at `--t-max (\S+)`")
+    for t_max in (short, long):
+        out = tmp_path / f"{t_max}.csv"
+        assert cli.main(["quadrupole", *shlex.split(args), "--t-max", t_max,
+                         "--output", str(out)]) == 0
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
+        series = np.array([float(row["Dzz"]) for row in rows])
+        tensor = observables.QuadrupoleTensor(-series / 2, -series / 2, series,
+                                              np.zeros_like(series))
+        assert observables.detect(tensor).extrema_count == {"three": 3}[turns], t_max
+        assert rows[-1]["verdict"] == verdict == "oscillatory", t_max

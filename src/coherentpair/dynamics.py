@@ -7,8 +7,9 @@ frozen.  Each step makes four kernel calls, and the stage-1 call at each
 sample also gives that sample's energy terms, so reading a trajectory's
 energies costs one more kernel call.  A head-on start (x and y
 components all +0.0, as in every sweep point) is stepped on (r_z, p_z)
-alone, with the same samples bit for bit; any other start, -0.0
-components included, by ``numerics.rk4_step`` on all six floats.
+alone, with the same samples bit for bit and the same error on a failing
+step; any other start, -0.0 components included, by
+``numerics.rk4_step`` on all six floats.
 Separation is d(t) = |r(t)| and the traveltime is the first
 return to the initial separation after the approach.
 """
@@ -143,11 +144,14 @@ def integrate(
     zero is +0.0.  So every rho, |p|^2 and sample is the six-float one,
     and the x and y columns come out +0.0.  A -0.0 component does not
     qualify: it stays -0.0 while its rate is -0.0 and turns +0.0 when the
-    rate is +0.0, so its sign follows the gradients.  A non-finite
-    gradient makes the x and y rates NaN where the z rates may be inf,
-    and from there the two steps may fail differently; so a step that
-    raises or ends non-finite on the axis is redone by ``rk4_step``, and
-    fails as it does there.
+    rate is +0.0, so its sign follows the gradients.  A failing step
+    fails alike on both: until a gradient leaves the float range the two
+    compute the same floats, so a first exception is raised by the same
+    kernel call on the same inputs.  After that, each later kernel call
+    either sees a non-finite rho and takes the point-charge exit, or sees
+    the same finite rho with a non-finite |p|^2, where its denominator is
+    1 or NaN; neither raises, so both steps end non-finite and raise
+    ``NonFinite`` with the same message.
     """
     if dt <= 0 or t_max <= dt:
         raise ValueError("need dt > 0 and t_max > dt")
@@ -174,8 +178,8 @@ def integrate(
         gp = 2.0 * de_dpp
         return gp * px, gp * py, gp * pz, -gr * rx, -gr * ry, -gr * rz
 
-    def full_step(y, t, s=None):
-        """Stage-1 energy terms, the state one step after (y, t) and None."""
+    def full_step(y, t, s):
+        """Step of a start that is not head-on: stage-1 terms, the next state and None."""
         stage_terms.clear()
         y = rk4_step(y, t, dt, deriv)
         return stage_terms[0], y, None
@@ -186,35 +190,32 @@ def integrate(
         The stages are those of ``deriv`` without the +0.0 terms (0 + 0 +
         rz * rz is rz * rz); the later three skip the energy terms.  Its
         third item is width(t + dt), the next step's s, as the loop's next t
-        is t + dt.  A step that raises or ends non-finite here is redone by
-        ``full_step``.
+        is t + dt.  Like ``rk4_step`` it raises ``NonFinite`` when the step
+        ends non-finite.
         """
         rz, pz = y[2], y[5]
         s_half = width(t + h)
         s_end = width(t + dt)
-        try:
-            terms, de_drho, de_dpp = core(rz * rz, pz * pz, s, sign, kappa)
-            a3 = 2.0 * de_dpp * pz
-            a6 = -(2.0 * de_drho) * rz
-            z, q = rz + h * a3, pz + h * a6
-            _, de_drho, de_dpp = core(z * z, q * q, s_half, sign, kappa, False)
-            b3 = 2.0 * de_dpp * q
-            b6 = -(2.0 * de_drho) * z
-            z, q = rz + h * b3, pz + h * b6
-            _, de_drho, de_dpp = core(z * z, q * q, s_half, sign, kappa, False)
-            c3 = 2.0 * de_dpp * q
-            c6 = -(2.0 * de_drho) * z
-            z, q = rz + dt * c3, pz + dt * c6
-            _, de_drho, de_dpp = core(z * z, q * q, s_end, sign, kappa, False)
-            d3 = 2.0 * de_dpp * q
-            d6 = -(2.0 * de_drho) * z
-            rz += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-            pz += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
-            if math.isfinite(rz) and math.isfinite(pz):
-                return terms, (0.0, 0.0, rz, 0.0, 0.0, pz), s_end
-        except (ArithmeticError, CoherentPairError):
-            pass
-        return full_step(y, t)[:2] + (s_end,)
+        terms, de_drho, de_dpp = core(rz * rz, pz * pz, s, sign, kappa)
+        a3 = 2.0 * de_dpp * pz
+        a6 = -(2.0 * de_drho) * rz
+        z, q = rz + h * a3, pz + h * a6
+        _, de_drho, de_dpp = core(z * z, q * q, s_half, sign, kappa, False)
+        b3 = 2.0 * de_dpp * q
+        b6 = -(2.0 * de_drho) * z
+        z, q = rz + h * b3, pz + h * b6
+        _, de_drho, de_dpp = core(z * z, q * q, s_half, sign, kappa, False)
+        c3 = 2.0 * de_dpp * q
+        c6 = -(2.0 * de_drho) * z
+        z, q = rz + dt * c3, pz + dt * c6
+        _, de_drho, de_dpp = core(z * z, q * q, s_end, sign, kappa, False)
+        d3 = 2.0 * de_dpp * q
+        d6 = -(2.0 * de_drho) * z
+        rz += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        pz += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+        if not (math.isfinite(rz) and math.isfinite(pz)):
+            raise NonFinite(f"the RK4 step from t={t:.6g} produced a non-finite state")
+        return terms, (0.0, 0.0, rz, 0.0, 0.0, pz), s_end
 
     y = tuple(initial.r.tolist() + initial.p.tolist())
     # +0.0 only: copysign tells -0.0 apart, == does not

@@ -55,15 +55,11 @@ def tensor_from_params(c, p, s, sign: int) -> QuadrupoleTensor:
     ):
         raise PreconditionViolated("configuration must lie in the x-z plane")
     s2 = s * s
-    if sign == 0:
-        g = 0.0
-        den = 1.0
-    else:
-        n = overlap_from_params(c2, p2, s)
-        g = sign * n * n
-        den = 1.0 + g
-        if np.any(den <= _DEGENERATE_EPS):
-            raise DegenerateState("quadrupole tensor undefined at N -> 1")
+    n = overlap_from_params(c2, p2, s)
+    g = sign * n * n
+    den = 1.0 + g
+    if np.any(den <= _DEGENERATE_EPS):
+        raise DegenerateState("quadrupole tensor undefined at N -> 1")
     w = 8.0 * s2 * s2 * g
     entries = (
         (6.0 * (cx * cx) - 2.0 * c2 + w * (p2 - 3.0 * (px * px))) / den,
@@ -72,13 +68,6 @@ def tensor_from_params(c, p, s, sign: int) -> QuadrupoleTensor:
         (2.0 * cx * cz - w * px * pz) / den,
     )
     return QuadrupoleTensor(*(float(e) if np.ndim(e) == 0 else e for e in entries))
-
-
-def quadrupole_tensor(state: PhaseState) -> QuadrupoleTensor:
-    """Tensor of the instantaneous mean-field state (packets at +/- r/2)."""
-    return tensor_from_params(
-        0.5 * state.r, state.p, state.width, state.config.symmetry.sign
-    )
 
 
 class SeriesKind(enum.Enum):
@@ -100,7 +89,11 @@ class SeriesVerdict:
 
 
 def quadrupole_timeseries(traj) -> QuadrupoleTensor:
-    """Tensor at every trajectory sample from the instantaneous (r, p, s)."""
+    """Tensor of the mean-field state(s) from the instantaneous (r, p, s).
+
+    Reads only ``r``, ``p``, ``width`` and ``config``: a ``Trajectory``
+    gives one entry per sample, a ``PhaseState`` float entries.
+    """
     return tensor_from_params(0.5 * traj.r, traj.p, traj.width, traj.config.symmetry.sign)
 
 

@@ -432,20 +432,17 @@ def oracle_kinetic(state: PhaseState) -> list[OracleReport]:
 def oracle_moments(state: PhaseState) -> list[OracleReport]:
     """Quadrupole components against direct moment quadrature."""
     eng = _Engine(state)
-    m = np.zeros((3, 3))
-    for i in range(3):
-        m[i, i] = eng.expect_one_body_sum({i: (2, 0)})
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        m[i, j] = m[j, i] = eng.expect_one_body_sum({i: (1, 0), j: (1, 0)})
-    trace = float(np.trace(m))
-    tensor = observables.quadrupole_tensor(state)
+    m_aa = [eng.expect_one_body_sum({i: (2, 0)}) for i in range(3)]
+    m_xz = eng.expect_one_body_sum({0: (1, 0), 2: (1, 0)})
+    trace = m_aa[0] + m_aa[1] + m_aa[2]
+    tensor = observables.quadrupole_timeseries(state)
     names = ("Dxx", "Dyy", "Dzz")
     reports = []
     for i, name in enumerate(names):
-        numeric = 3.0 * m[i, i] - trace
+        numeric = 3.0 * m_aa[i] - trace
         analytic = (tensor.d_xx, tensor.d_yy, tensor.d_zz)[i]
         reports.append(OracleReport(f"quadrupole_{name}", analytic, numeric, eng.nodes_used))
-    reports.append(OracleReport("quadrupole_Dxz", tensor.d_xz, m[0, 2], eng.nodes_used))
+    reports.append(OracleReport("quadrupole_Dxz", tensor.d_xz, m_xz, eng.nodes_used))
     reports.append(OracleReport("pair_norm", 1.0, eng.expect_one_body_sum({}) / 2.0,
                                 eng.nodes_used, note="0th moment / 2"))
     return reports

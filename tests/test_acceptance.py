@@ -84,7 +84,7 @@ def test_criterion_03_quadrupole_oracle():
     ok = True
     for seed in seeds:
         state = oracle.draw_phase_state(seed)
-        tensor = observables.quadrupole_tensor(state)
+        tensor = observables.quadrupole_timeseries(state)
         if abs(tensor_trace(tensor)) > 1e-10 * tensor_norm(tensor):
             ok = False
         for rep in oracle.oracle_moments(state):

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from coherentpair import dynamics, meanfield, numerics, pairstate
 from coherentpair.dynamics import Regime
-from coherentpair.errors import MalformedTrajectory, NonFinite
+from coherentpair.errors import CoherentPairError, MalformedTrajectory, NonFinite
 from coherentpair.meanfield import PhaseState, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 
@@ -309,6 +309,48 @@ def test_a_failing_head_on_step_fails_as_the_six_float_loop(symmetry, frozen, si
             dynamics.integrate(start, 0.1, 1.0)
         errors.append(str(exc.value))
     assert errors == [f"the RK4 step from t=0 {message}"] * 2
+
+
+def samples_or_error(state, *args):
+    """(t, r, p) of the run, or the type and message of the error it raises."""
+    try:
+        traj = dynamics.integrate(state, *args)
+    except CoherentPairError as exc:
+        return type(exc), str(exc)
+    return traj.t, traj.r, traj.p
+
+
+def test_drawn_head_on_starts_fail_as_the_six_float_loop():
+    # widths over 300 decades; offsets and momenta within four decades of
+    # the width's scale or anywhere in the float range; steps from t_free /
+    # 400 up to three decades more, or up to 1e300, for 2 to 8 steps. About
+    # a third of the starts fail: in the kernel, on a non-finite state or at
+    # N -> 1. The energy is not read: it warns on overflow at extreme widths
+    rng = np.random.default_rng(2024)
+    spins = list(ExchangeSymmetry)
+    failed = 0
+    for _ in range(3000):
+        sigma = 10.0 ** rng.uniform(-150.0, 150.0)
+        r0 = (sigma * 10.0 ** rng.uniform(-4.0, 4.0) if rng.random() < 0.5
+              else 10.0 ** rng.uniform(-300.0, 307.0))
+        p = (10.0 ** rng.uniform(-4.0, 4.0) / sigma if rng.random() < 0.5
+             else 10.0 ** rng.uniform(-300.0, 307.0))
+        symmetry, frozen = spins[rng.integers(3)], bool(rng.integers(2))
+        # log10 of t_free / 400 = 2 r0 / p / 400, which may overflow
+        lo = math.log10(r0) - math.log10(p) - math.log10(200.0)
+        up = rng.uniform(0.0, 3.0) if rng.random() < 0.5 else rng.uniform(0.0, max(300.0 - lo, 0.0))
+        dt = 10.0 ** min(max(lo + up, -300.0), 300.0)
+        t_max = int(rng.integers(2, 9)) * dt
+        state = initial_state(PairConfig(sigma, np.array([0.0, 0.0, r0]),
+                                         np.array([0.0, 0.0, -p]), symmetry, frozen_width=frozen))
+        axis = samples_or_error(state, dt, t_max)
+        six = samples_or_error(six_float_reference(state), dt, t_max)
+        if isinstance(axis[0], type) or isinstance(six[0], type):
+            assert axis == six, (sigma, r0, p, symmetry, frozen, dt)
+            failed += 1
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(axis, six)), (sigma, r0, p, dt)
+    assert failed > 500, failed
 
 
 @pytest.mark.parametrize("start", list(_STARTS))

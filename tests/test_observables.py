@@ -1,7 +1,7 @@
 """Tests for quadrupole observables, inversions and density grids."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from coherentpair.observables import (
     SeriesKind,
     detect,
     density_grid,
-    quadrupole_tensor,
     quadrupole_timeseries,
     tensor_from_params,
 )
@@ -115,7 +114,7 @@ def test_static_diagonal_pattern():
 def test_tracelessness_on_random_states():
     for seed in range(12):
         state = oracle.draw_phase_state(7000 + 13 * seed)
-        tensor = quadrupole_tensor(state)
+        tensor = quadrupole_timeseries(state)
         assert abs(tensor_trace(tensor)) <= 1e-10 * max(tensor_norm(tensor), 1e-300)
 
 
@@ -126,10 +125,20 @@ def test_tensor_matches_quadrature_sample():
             assert oracle.report_passes(rep), (rep.quantity, rep.rel_err)
 
 
+def test_distinguishable_tensor_matches_quadrature_sample():
+    # the same states with the exchange term off: N^2 is formed and multiplied by 0
+    for seed in (40000, 40047, 40094):
+        drawn = oracle.draw_phase_state(seed)
+        state = replace(drawn, config=replace(drawn.config,
+                                              symmetry=ExchangeSymmetry.DISTINGUISHABLE))
+        for rep in oracle.oracle_moments(state):
+            assert oracle.report_passes(rep), (rep.quantity, rep.rel_err)
+
+
 def test_out_of_plane_rejected():
     state = state_with([0.0, 0.5, 1.0], [0.0, 0.0, 0.1])
     with pytest.raises(PreconditionViolated):
-        quadrupole_tensor(state)
+        quadrupole_timeseries(state)
 
 
 def test_invert_r0_roundtrip():
@@ -256,13 +265,14 @@ def test_array_tensor_checks_every_sample():
     coincident_c[4] = 0.0
     coincident_p[4] = 0.0  # N = 1 on this sample only
     tensor_from_params(coincident_c, coincident_p, s, 1)
+    tensor_from_params(coincident_c, coincident_p, s, 0)  # no exchange term to vanish
     with pytest.raises(DegenerateState):
         tensor_from_params(coincident_c, coincident_p, s, -1)
 
 
 def test_detect_constant():
     state = state_with([0.0, 0.0, 2.0], [0.0, 0.0, 0.0])
-    tensor = quadrupole_tensor(state)
+    tensor = quadrupole_timeseries(state)
     series = observables.QuadrupoleTensor(
         *(np.full(50, v) for v in (tensor.d_xx, tensor.d_yy, tensor.d_zz, tensor.d_xz))
     )

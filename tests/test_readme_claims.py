@@ -10,13 +10,14 @@ import csv
 import math
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
 
 from coherentpair import cli, dynamics, observables
-from coherentpair.meanfield import PhaseState, avg_hamiltonian
+from coherentpair.meanfield import PhaseState, avg_hamiltonian, initial_state
 from coherentpair.pairstate import ExchangeSymmetry, PairConfig
 from test_cli import readme_commands
 
@@ -90,6 +91,58 @@ def test_frozen_window_returns_at_the_quoted_multiples_with_a_longer_horizon(tmp
     assert f"{max(ratios):.{decimals(ratio_hi)}f}" == ratio_hi
     assert [row["regime"] == "passthrough" for row in longer] == [
         float(row["p"]) >= float(first) for row in longer]
+
+
+def window_template():
+    """Template config and momentum grid of the README's anti-parallel window sweep."""
+    argv, = [argv for argv in readme_commands()
+             if argv[0] == "sweep-traveltime" and "antiparallel" in argv]
+    args = cli.build_parser().parse_args(argv)
+    return cli._config_from_args(args), np.linspace(args.p_min, args.p_max, args.steps)
+
+
+def head_on_run(template, p, t_max, stop_at_return=False):
+    """A sweep point's head-on run at momentum p and step t_free / 400, up to t_max."""
+    config = replace(template, p0=np.array([0.0, 0.0, -p]))
+    t_free = dynamics.free_traveltime(2.0 * float(template.r0[2]), 2.0 * p)
+    return dynamics.integrate(initial_state(config), t_free / 400.0, t_max, stop_at_return)
+
+
+def test_frozen_window_pairs_recede_at_the_quoted_momenta():
+    lo, hi = claim(r"The anti-parallel \(spatially symmetric\) sweep labels "
+                   r"`p = ([\d.]+)\.\.([\d.]+)` `frozen`")
+    first, last, t_end, share_lo, share_hi = claim(
+        r"recede, with `p_z -> (-[\d.]+)\.\.(-[\d.]+)` by t = (\d+), (\d+)-(\d+)% of `p`")
+    template, grid = window_template()
+    momenta = [p for p in grid if float(lo) <= p <= float(hi)]
+    assert len(momenta) == 4
+    runs = [head_on_run(template, p, float(t_end)) for p in momenta]
+    assert all(round(traj.t[-1]) == int(t_end) for traj in runs)
+    p_z = [float(traj.p[-1, 2]) for traj in runs]
+    # the recession speeds up with p, so the window's ends are the range's
+    assert p_z == sorted(p_z, reverse=True) and p_z[0] < 0.0
+    assert f"{p_z[0]:.{decimals(first)}f}" == first
+    assert f"{p_z[-1]:.{decimals(last)}f}" == last
+    shares = [-100.0 * pz / p for pz, p in zip(p_z, momenta)]
+    assert f"{min(shares):.0f}" == share_lo and f"{max(shares):.0f}" == share_hi
+
+
+def test_recession_vanishes_near_the_quoted_momentum():
+    horizon, p_star = claim(
+        r"A bisection on whether `r_z` changes sign before the pair returns, with a "
+        r"horizon of `T = (\d+)`, puts it at about ([\d.]+) for this pair")
+    template, _ = window_template()
+
+    def crosses(p):
+        traj = head_on_run(template, p, float(horizon), stop_at_return=True)
+        return bool((traj.r[:, 2] < 0.0).any())
+
+    lo, hi = 0.10, 0.12
+    assert not crosses(lo) and crosses(hi)
+    for _ in range(8):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
+    assert f"{lo:.{decimals(p_star)}f}" == f"{hi:.{decimals(p_star)}f}" == p_star, (lo, hi)
 
 
 def listed(text):
